@@ -1,17 +1,17 @@
-//! Cost of chaos hardening: what supervision and checkpointing add on
-//! top of the bare campaign engine.
+//! Cost of chaos: what a fault storm and checkpointing add on top of the
+//! quiet campaign.
 //!
 //! Two parts:
 //!
 //! * a one-shot comparison at ~2.6M CPUs (≈1k defective processors):
-//!   the bare engine, quiet supervision (fault plan all zeros — pure
-//!   bookkeeping overhead), a storm (5% offline + 10% preempt plus
+//!   the quiet campaign ([`run_campaign_on`], the supervised campaign
+//!   under an all-zero fault plan), a storm (5% offline + 10% preempt plus
 //!   crash/read/timeout noise), and the storm with a checkpoint
-//!   snapshot every 64 completions. Quiet supervision is cross-checked
-//!   for bitwise equality with the bare engine, and the results land in
-//!   `BENCH_chaos.json` at the repo root;
-//! * criterion benches of the three modes at 300k CPUs for regression
-//!   tracking.
+//!   snapshot every 64 completions. The checkpointed storm is
+//!   cross-checked for bitwise equality with the plain storm, and the
+//!   results land in `BENCH_chaos.json` at the repo root;
+//! * criterion benches of the quiet and stormy campaign at 300k CPUs for
+//!   regression tracking.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fleet::parallel::resolve_threads;
@@ -39,14 +39,21 @@ fn storm() -> FaultPlan {
     }
 }
 
-fn supervised(
+fn stormy(
     cfg: &FleetConfig,
     suite: &Suite,
     pop: &FleetPopulation,
-    plan: &FaultPlan,
     store: Option<&CheckpointStore>,
 ) -> SupervisedCampaign {
-    match run_campaign_resumable(cfg, suite, pop, plan, &RetryPolicy::default(), store, None) {
+    match run_campaign_resumable(
+        cfg,
+        suite,
+        pop,
+        &storm(),
+        &RetryPolicy::default(),
+        store,
+        None,
+    ) {
         Ok(ResumableRun::Completed(run)) => run,
         Ok(ResumableRun::Interrupted) => unreachable!("bench runs have no kill hook"),
         Err(e) => panic!("checkpoint I/O failed: {e}"),
@@ -62,42 +69,32 @@ fn artifact(suite: &Suite) {
     let pop = FleetPopulation::sample(&cfg);
 
     let t = Instant::now();
-    let bare = run_campaign_on(&cfg, suite, &pop);
-    let bare_secs = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let quiet = supervised(&cfg, suite, &pop, &FaultPlan::default(), None);
+    run_campaign_on(&cfg, suite, &pop);
     let quiet_secs = t.elapsed().as_secs_f64();
-    assert_eq!(
-        quiet.outcome.fates, bare.fates,
-        "quiet supervision must be bitwise identical to the bare engine"
-    );
 
     let t = Instant::now();
-    let stormy = supervised(&cfg, suite, &pop, &storm(), None);
+    let storm_run = stormy(&cfg, suite, &pop, None);
     let storm_secs = t.elapsed().as_secs_f64();
 
     let ck_path = std::env::temp_dir().join("sdc-bench-chaos-ck.json");
     std::fs::remove_file(&ck_path).ok();
     let store = CheckpointStore::new(&ck_path, 64);
     let t = Instant::now();
-    let checkpointed = supervised(&cfg, suite, &pop, &storm(), Some(&store));
+    let checkpointed = stormy(&cfg, suite, &pop, Some(&store));
     let ck_secs = t.elapsed().as_secs_f64();
     std::fs::remove_file(&ck_path).ok();
     assert_eq!(
-        checkpointed.outcome.fates, stormy.outcome.fates,
+        checkpointed.outcome.fates, storm_run.outcome.fates,
         "checkpoint writes must not perturb the storm's results"
     );
 
-    let att = &stormy.attrition;
+    let att = &storm_run.attrition;
     eprintln!(
-        "[chaos_campaign] {} defective CPUs, {} threads: bare {bare_secs:.2}s, \
-         quiet supervision {quiet_secs:.2}s ({:.1}% overhead), \
+        "[chaos_campaign] {} defective CPUs, {} threads: quiet {quiet_secs:.2}s, \
          storm {storm_secs:.2}s, +checkpointing {ck_secs:.2}s; \
          storm coverage {:.4} ({} lost, {} retries, {} faults)",
         pop.defective.len(),
         cfg.threads,
-        (quiet_secs / bare_secs - 1.0) * 100.0,
         att.coverage(),
         att.lost,
         att.retries,
@@ -105,13 +102,11 @@ fn artifact(suite: &Suite) {
     );
 
     let json = format!(
-        "{{\n  \"fleet_cpus\": {},\n  \"defective_cpus\": {},\n  \"threads\": {},\n  \"bare_secs\": {:.4},\n  \"quiet_supervised_secs\": {:.4},\n  \"quiet_overhead_frac\": {:.4},\n  \"storm_secs\": {:.4},\n  \"storm_checkpointed_secs\": {:.4},\n  \"quiet_identical_to_bare\": true,\n  \"storm\": {{\n    \"plan\": \"{}\",\n    \"coverage\": {:.6},\n    \"completed\": {},\n    \"lost\": {},\n    \"retries\": {},\n    \"faults\": {},\n    \"accounted_backoff_secs\": {:.1}\n  }}\n}}\n",
+        "{{\n  \"fleet_cpus\": {},\n  \"defective_cpus\": {},\n  \"threads\": {},\n  \"quiet_secs\": {:.4},\n  \"storm_secs\": {:.4},\n  \"storm_checkpointed_secs\": {:.4},\n  \"checkpointed_identical_to_storm\": true,\n  \"storm\": {{\n    \"plan\": \"{}\",\n    \"coverage\": {:.6},\n    \"completed\": {},\n    \"lost\": {},\n    \"retries\": {},\n    \"faults\": {},\n    \"accounted_backoff_secs\": {:.1}\n  }}\n}}\n",
         pop.total(),
         pop.defective.len(),
         cfg.threads,
-        bare_secs,
         quiet_secs,
-        quiet_secs / bare_secs - 1.0,
         storm_secs,
         ck_secs,
         storm().spec(),
@@ -139,13 +134,8 @@ fn bench_chaos_modes(c: &mut Criterion) {
     let pop = FleetPopulation::sample(&cfg);
     let mut group = c.benchmark_group("fleet/chaos_campaign_300k");
     group.sample_size(10);
-    group.bench_function("bare", |b| b.iter(|| run_campaign_on(&cfg, &suite, &pop)));
-    group.bench_function("quiet_supervised", |b| {
-        b.iter(|| supervised(&cfg, &suite, &pop, &FaultPlan::default(), None))
-    });
-    group.bench_function("storm", |b| {
-        b.iter(|| supervised(&cfg, &suite, &pop, &storm(), None))
-    });
+    group.bench_function("quiet", |b| b.iter(|| run_campaign_on(&cfg, &suite, &pop)));
+    group.bench_function("storm", |b| b.iter(|| stormy(&cfg, &suite, &pop, None)));
     group.finish();
 }
 

@@ -16,7 +16,7 @@
 
 use fleet::chaos::FaultPlan;
 use fleet::screening::StaticSuiteProfile;
-use fleet::checkpoint::{CampaignCheckpoint, CheckpointStore};
+use fleet::checkpoint::{Checkpoint, CheckpointStore};
 use fleet::supervisor::RetryPolicy;
 use fleet::{
     campaign_fingerprint, run_campaign, run_campaign_on, run_campaign_resumable, FleetConfig,
@@ -275,7 +275,7 @@ pub fn checkpoint_transparency() -> InvariantReport {
             }
             Err(e) => return Err(format!("checkpointed run failed: {e:?}")),
         }
-        let snapshot = CampaignCheckpoint::load(&path, &campaign_fingerprint(&cfg, &plan))
+        let snapshot = Checkpoint::load(&path, &campaign_fingerprint(&cfg, &plan))
             .map_err(|e| format!("snapshot load failed: {e:?}"))?;
         let resumed = match run_campaign_resumable(
             &cfg,

@@ -34,7 +34,7 @@ pub fn metric(name: impl Into<String>, value: f64) -> Metric {
     }
 }
 
-/// The campaign config behind Tables 1–2, identical to `repro table1`.
+/// The campaign config behind Tables 1–2; `repro table1`/`table2` run it.
 pub fn campaign_config(quick: bool, threads: usize) -> FleetConfig {
     FleetConfig {
         total_cpus: if quick { 200_000 } else { 1_050_000 },
@@ -43,7 +43,7 @@ pub fn campaign_config(quick: bool, threads: usize) -> FleetConfig {
     }
 }
 
-/// The deep-study config, identical to `repro fig2`/`fig3`/….
+/// The deep-study config; `repro fig2`/`fig3`/… run it.
 pub fn study_config(quick: bool, threads: usize) -> StudyConfig {
     StudyConfig {
         per_testcase: if quick {

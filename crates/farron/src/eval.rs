@@ -20,15 +20,15 @@ use crate::requeue::run_plan_requeue;
 use crate::schedule::FarronScheduler;
 use analysis::study::{run_case_cached, StudyConfig};
 use fleet::chaos::FaultPlan;
-use fleet::checkpoint::{CheckpointError, CheckpointStore, Fingerprint};
+use fleet::checkpoint::{
+    run_checkpointed, Checkpoint, CheckpointError, CheckpointStore, Fingerprint, ResumableRun,
+};
 use fleet::screening::SuiteProfileCache;
 use fleet::supervisor::{AttritionStats, RetryPolicy};
 use sdc_model::{DetRng, Duration, Feature, TestcaseId};
 use serde::{Deserialize, Serialize};
 use silicon::catalog;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use toolchain::{framework, ExecConfig, ProfileCache, Suite};
 
 /// Evaluation parameters.
@@ -328,36 +328,6 @@ pub fn evaluate(cfg: &EvalConfig) -> Vec<EvalRow> {
     })
 }
 
-/// Runs the evaluation with every regular round exposed to `plan`:
-/// interrupted test windows are re-queued ([`run_plan_requeue`]), lost
-/// windows are dropped from coverage, and the aggregated attrition is
-/// returned alongside the rows.
-///
-/// Note the quiet-plan rows differ from [`evaluate`]'s: the re-queue
-/// path forks each window's RNG from its plan index (so windows can be
-/// re-ordered), while the plain path draws sequentially. Within the
-/// chaos path, supervision is transparent — see the requeue tests.
-pub fn evaluate_chaos(
-    cfg: &EvalConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> (Vec<EvalRow>, AttritionStats) {
-    let ctx = EvalCtx::fresh();
-    let rows = fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
-        eval_row(cfg, name, RoundMode::Chaos { plan, policy }, &ctx)
-    });
-    let mut total = AttritionStats::default();
-    let mut out = Vec::with_capacity(rows.len());
-    for (row, att) in rows {
-        total.merge(&att);
-        out.push(row);
-    }
-    (out, total)
-}
-
-/// Format version of the evaluation row checkpoint.
-pub const EVAL_FORMAT_VERSION: u32 = 1;
-
 /// One completed evaluation row plus its attrition accounting, in a
 /// serializable shape (`name` travels as a string and is mapped back to
 /// the [`EVAL_NAMES`] entry on restore).
@@ -479,30 +449,9 @@ impl EvalRowRecord {
     }
 }
 
-/// A versioned, fingerprinted snapshot of completed evaluation rows.
-///
-/// The fingerprint reuses the campaign [`Fingerprint`] shape; the
-/// evaluation has no fleet, so the capacity seat carries the round
-/// count instead (see [`eval_fingerprint`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EvalCheckpoint {
-    /// Format version ([`EVAL_FORMAT_VERSION`]).
-    pub version: u32,
-    /// Which evaluation this snapshot belongs to.
-    pub fingerprint: Fingerprint,
-    /// Completed rows, in completion (not [`EVAL_NAMES`]) order.
-    pub rows: Vec<EvalRowRecord>,
-}
-
-serde::impl_json_struct!(EvalCheckpoint {
-    version,
-    fingerprint,
-    rows,
-});
-
 /// Identity of a chaos evaluation for checkpoint validation: seed,
-/// round count (in the fingerprint's capacity seat), and the canonical
-/// fault-plan spec.
+/// round count (in the fingerprint's capacity seat — the evaluation has
+/// no fleet), and the canonical fault-plan spec.
 pub fn eval_fingerprint(cfg: &EvalConfig, plan: &FaultPlan) -> Fingerprint {
     Fingerprint {
         seed: cfg.seed,
@@ -511,139 +460,58 @@ pub fn eval_fingerprint(cfg: &EvalConfig, plan: &FaultPlan) -> Fingerprint {
     }
 }
 
-impl EvalCheckpoint {
-    /// An empty snapshot for `fingerprint`.
-    pub fn empty(fingerprint: Fingerprint) -> EvalCheckpoint {
-        EvalCheckpoint {
-            version: EVAL_FORMAT_VERSION,
-            fingerprint,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Loads and validates a snapshot against the expected fingerprint.
-    pub fn load(
-        path: &std::path::Path,
-        expected: &Fingerprint,
-    ) -> Result<EvalCheckpoint, CheckpointError> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let ck: EvalCheckpoint =
-            serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        if ck.version != EVAL_FORMAT_VERSION {
-            return Err(CheckpointError::Version {
-                found: ck.version,
-                expected: EVAL_FORMAT_VERSION,
-            });
-        }
-        if ck.fingerprint != *expected {
-            return Err(CheckpointError::Mismatch {
-                found: ck.fingerprint,
-                expected: expected.clone(),
-            });
-        }
-        Ok(ck)
-    }
-}
-
-/// The outcome of a resumable evaluation run.
-#[derive(Debug)]
-pub enum EvalRun {
-    /// Every row evaluated or restored, in [`EVAL_NAMES`] order.
-    Completed {
-        /// The Figure 11 / Table 4 rows.
-        rows: Vec<EvalRow>,
-        /// Aggregated attrition across all rows.
-        attrition: AttritionStats,
-    },
-    /// The store's kill hook stopped the run; the snapshot on disk
-    /// holds the rows completed so far.
-    Interrupted,
-}
-
-/// [`evaluate_chaos`] with row-level checkpoint/resume.
+/// Runs the evaluation with every regular round exposed to `plan`:
+/// interrupted test windows are re-queued ([`run_plan_requeue`]), lost
+/// windows are dropped from coverage, and the aggregated attrition is
+/// returned alongside the rows (in [`EVAL_NAMES`] order).
 ///
-/// If the store's snapshot exists it is loaded (and validated against
-/// [`eval_fingerprint`]); completed rows are restored instead of
-/// re-evaluated, so interrupt-plus-resume returns exactly what an
-/// uninterrupted run would. Rows are few and expensive, so a snapshot
-/// is written after *every* completion (`store.every` is ignored);
-/// `store.kill_after` simulates SIGKILL after that many new rows.
-pub fn evaluate_checkpointed(
+/// Rows are checkpointed like campaign slots ([`run_checkpointed`]):
+/// rows in `resume` (a snapshot the caller loaded against
+/// [`eval_fingerprint`]) are restored instead of re-evaluated, so
+/// interrupt-plus-resume returns exactly what an uninterrupted run
+/// would; a restored row whose name is not in [`EVAL_NAMES`] is
+/// [`CheckpointError::Corrupt`]. With a `store`, a snapshot is written
+/// every `store.every` rows and at the end.
+///
+/// Note the quiet-plan rows differ from [`evaluate`]'s: the re-queue
+/// path forks each window's RNG from its plan index (so windows can be
+/// re-ordered), while the plain path draws sequentially. Within the
+/// chaos path, supervision is transparent — see the requeue tests.
+pub fn evaluate_resumable(
     cfg: &EvalConfig,
     plan: &FaultPlan,
     policy: &RetryPolicy,
-    store: &CheckpointStore,
-) -> Result<EvalRun, CheckpointError> {
-    let fingerprint = eval_fingerprint(cfg, plan);
-    let prior = if store.path().exists() {
-        EvalCheckpoint::load(store.path(), &fingerprint)?
-    } else {
-        EvalCheckpoint::empty(fingerprint)
-    };
-    let done: HashMap<String, EvalRowRecord> = prior
-        .rows
-        .iter()
-        .map(|r| (r.name.clone(), r.clone()))
-        .collect();
-
-    struct Sink {
-        snapshot: EvalCheckpoint,
-        new_done: usize,
-        error: Option<CheckpointError>,
-    }
-    let sink = Mutex::new(Sink {
-        snapshot: prior,
-        new_done: 0,
-        error: None,
-    });
-    let killed = AtomicBool::new(false);
+    store: Option<&CheckpointStore>,
+    resume: Option<&Checkpoint<EvalRowRecord>>,
+) -> Result<ResumableRun<(Vec<EvalRow>, AttritionStats)>, CheckpointError> {
     let ctx = EvalCtx::fresh();
-
-    let records = fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
-        if let Some(record) = done.get(name) {
-            return Some(record.clone());
-        }
-        if killed.load(Ordering::SeqCst) {
-            return None;
-        }
-        let (row, attrition) = eval_row(cfg, name, RoundMode::Chaos { plan, policy }, &ctx);
-        let record = EvalRowRecord::of(&row, &attrition);
-        let mut sink = sink.lock().expect("eval checkpoint sink");
-        sink.snapshot.rows.push(record.clone());
-        sink.new_done += 1;
-        if let Err(e) = store.write_value(&sink.snapshot) {
-            sink.error = Some(e);
-        }
-        if let Some(k) = store.kill_after {
-            if sink.new_done >= k {
-                killed.store(true, Ordering::SeqCst);
-            }
-        }
-        Some(record)
-    });
-
-    let sink = sink.into_inner().expect("eval workers joined");
-    if let Some(e) = sink.error {
-        return Err(e);
-    }
-    if killed.load(Ordering::SeqCst) {
-        return Ok(EvalRun::Interrupted);
-    }
-    let mut rows = Vec::with_capacity(EVAL_NAMES.len());
-    let mut total = AttritionStats::default();
-    for record in records {
-        let record = record.expect("uninterrupted run evaluates every row");
-        let row = record
-            .to_row()
-            .ok_or_else(|| CheckpointError::Corrupt(format!("unknown eval row '{}'", record.name)))?;
-        total.merge(&record.attrition());
-        rows.push(row);
-    }
-    Ok(EvalRun::Completed {
-        rows,
-        attrition: total,
-    })
+    let snapshot = resume
+        .cloned()
+        .unwrap_or_else(|| Checkpoint::empty(eval_fingerprint(cfg, plan)));
+    let run = run_checkpointed(
+        &EVAL_NAMES,
+        cfg.threads,
+        store,
+        snapshot,
+        |record| EVAL_NAMES.iter().position(|&n| n == record.name),
+        |_, &name| {
+            let (row, attrition) = eval_row(cfg, name, RoundMode::Chaos { plan, policy }, &ctx);
+            EvalRowRecord::of(&row, &attrition)
+        },
+    )?;
+    Ok(run.map(|records| {
+        let mut total = AttritionStats::default();
+        let rows = records
+            .iter()
+            .map(|record| {
+                total.merge(&record.attrition());
+                record
+                    .to_row()
+                    .expect("invariant violated: run_checkpointed placed every row by its name")
+            })
+            .collect();
+        (rows, total)
+    }))
 }
 
 #[cfg(test)]
@@ -739,10 +607,25 @@ mod tests {
         }
     }
 
+    /// Unwraps a run that had no kill hook.
+    fn completed(
+        run: Result<ResumableRun<(Vec<EvalRow>, AttritionStats)>, CheckpointError>,
+    ) -> (Vec<EvalRow>, AttritionStats) {
+        match run {
+            Ok(ResumableRun::Completed(result)) => result,
+            other => panic!("run without a kill hook must complete, got {other:?}"),
+        }
+    }
+
     #[test]
     fn quiet_chaos_eval_loses_nothing() {
-        let (rows, attrition) =
-            evaluate_chaos(&tiny_cfg(), &FaultPlan::default(), &RetryPolicy::default());
+        let (rows, attrition) = completed(evaluate_resumable(
+            &tiny_cfg(),
+            &FaultPlan::default(),
+            &RetryPolicy::default(),
+            None,
+            None,
+        ));
         assert_eq!(rows.len(), EVAL_NAMES.len());
         assert_eq!(attrition.lost, 0);
         assert_eq!(attrition.retries, 0);
@@ -759,13 +642,16 @@ mod tests {
         let policy = RetryPolicy::default();
         let dir = std::env::temp_dir().join("sdc-eval-ck-test");
         std::fs::create_dir_all(&dir).unwrap();
+        let fingerprint = eval_fingerprint(&cfg, &storm());
 
         let full_store = CheckpointStore::new(dir.join("full.json"), 1);
-        let (full_rows, full_att) =
-            match evaluate_checkpointed(&cfg, &storm(), &policy, &full_store).unwrap() {
-                EvalRun::Completed { rows, attrition } => (rows, attrition),
-                EvalRun::Interrupted => panic!("run without a kill hook cannot be interrupted"),
-            };
+        let (full_rows, full_att) = completed(evaluate_resumable(
+            &cfg,
+            &storm(),
+            &policy,
+            Some(&full_store),
+            None,
+        ));
         assert_eq!(full_rows.len(), EVAL_NAMES.len());
         assert!(full_att.total_faults() > 0, "storm must interrupt something");
 
@@ -773,15 +659,18 @@ mod tests {
         let mut killer = CheckpointStore::new(dir.join("killed.json"), 1);
         killer.kill_after = Some(2);
         assert!(matches!(
-            evaluate_checkpointed(&cfg, &storm(), &policy, &killer).unwrap(),
-            EvalRun::Interrupted
+            evaluate_resumable(&cfg, &storm(), &policy, Some(&killer), None).unwrap(),
+            ResumableRun::Interrupted
         ));
         let resume_store = CheckpointStore::new(dir.join("killed.json"), 1);
-        let (rows, attrition) =
-            match evaluate_checkpointed(&cfg, &storm(), &policy, &resume_store).unwrap() {
-                EvalRun::Completed { rows, attrition } => (rows, attrition),
-                EvalRun::Interrupted => panic!("resume run has no kill hook"),
-            };
+        let snapshot = Checkpoint::load(resume_store.path(), &fingerprint).unwrap();
+        let (rows, attrition) = completed(evaluate_resumable(
+            &cfg,
+            &storm(),
+            &policy,
+            Some(&resume_store),
+            Some(&snapshot),
+        ));
         assert_eq!(rows, full_rows);
         assert_eq!(attrition, full_att);
 
@@ -789,8 +678,52 @@ mod tests {
         let mut other = cfg;
         other.seed ^= 1;
         assert!(matches!(
-            evaluate_checkpointed(&other, &storm(), &policy, &resume_store),
+            Checkpoint::<EvalRowRecord>::load(
+                resume_store.path(),
+                &eval_fingerprint(&other, &storm())
+            ),
             Err(CheckpointError::Mismatch { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn eval_snapshot_prefixes_and_unknown_rows_are_corrupt() {
+        // A real snapshot: one thread, killed after its first row.
+        let cfg = EvalConfig {
+            threads: 1,
+            ..tiny_cfg()
+        };
+        let policy = RetryPolicy::default();
+        let fingerprint = eval_fingerprint(&cfg, &storm());
+        let dir = std::env::temp_dir().join("sdc-eval-ck-corrupt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut killer = CheckpointStore::new(dir.join("ck.json"), 1);
+        killer.kill_after = Some(1);
+        assert!(matches!(
+            evaluate_resumable(&cfg, &storm(), &policy, Some(&killer), None).unwrap(),
+            ResumableRun::Interrupted
+        ));
+        let text = std::fs::read_to_string(killer.path()).unwrap();
+        let snapshot = Checkpoint::<EvalRowRecord>::load(killer.path(), &fingerprint).unwrap();
+        assert_eq!(snapshot.items.len(), 1);
+
+        // Every strict prefix is a typed Corrupt error, never Ok or a panic.
+        let cut = dir.join("cut.json");
+        for end in 0..text.len() {
+            std::fs::write(&cut, &text[..end]).unwrap();
+            match Checkpoint::<EvalRowRecord>::load(&cut, &fingerprint) {
+                Err(CheckpointError::Corrupt(_)) => {}
+                other => panic!("prefix of {end}/{} bytes: {other:?}", text.len()),
+            }
+        }
+
+        // A row that is not one of the evaluation processors is Corrupt.
+        let mut foreign = snapshot.clone();
+        foreign.items[0].name = "NOPE1".to_string();
+        assert!(matches!(
+            evaluate_resumable(&cfg, &storm(), &policy, None, Some(&foreign)),
+            Err(CheckpointError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,7 +2,8 @@
 
 use crate::chaos::{FaultPlan, OpFault};
 use crate::checkpoint::{
-    CampaignCheckpoint, CheckpointError, CheckpointStore, Fingerprint, ItemRecord,
+    run_checkpointed, Checkpoint, CheckpointError, CheckpointStore, Fingerprint, ItemRecord,
+    ResumableRun,
 };
 use crate::lifecycle::{Stage, StageSpec};
 use crate::population::{FleetConfig, FleetPopulation};
@@ -11,8 +12,6 @@ use crate::supervisor::{run_slot, AttritionStats, RetryPolicy, SlotError};
 use sdc_model::{ArchId, DetRng};
 use silicon::Processor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use toolchain::{CacheStats, Suite};
 
 /// Samples the age (years after factory delivery) at which a defect
@@ -151,25 +150,14 @@ pub fn run_campaign(cfg: &FleetConfig, suite: &Suite) -> CampaignOutcome {
 }
 
 /// [`run_campaign`] over an already-sampled population (lets callers
-/// reuse one fleet across serial/parallel comparison runs).
+/// reuse one fleet across serial/parallel comparison runs): the
+/// quiet-plan, store-less call of [`run_campaign_resumable`]. A quiet
+/// plan injects no fault, so every slot completes on its first attempt.
 pub fn run_campaign_on(cfg: &FleetConfig, suite: &Suite, pop: &FleetPopulation) -> CampaignOutcome {
-    let pipeline = StageSpec::default_pipeline();
-    let clock_hz = 1e7;
-    let root = DetRng::new(cfg.seed).fork_str("fleet-campaign");
-    let profile_cache = SuiteProfileCache::new();
-
-    let fates = crate::parallel::run_indexed(&pop.defective, cfg.threads, |_, processor| {
-        let mut rng = root.fork(processor.id.0);
-        let profiles =
-            profile_cache.get_or_build(suite, processor.physical_cores as usize, cfg.threads);
-        let fate = processor_fate(processor, suite, &profiles, &pipeline, clock_hz, &mut rng);
-        (processor.arch, fate)
-    });
-    CampaignOutcome {
-        total_cpus: pop.total(),
-        per_arch_total: pop.per_arch_total.clone(),
-        fates,
-        suite_cache: profile_cache.stats(),
+    let quiet = FaultPlan::default();
+    match run_campaign_resumable(cfg, suite, pop, &quiet, &RetryPolicy::default(), None, None) {
+        Ok(ResumableRun::Completed(run)) => run.outcome,
+        _ => unreachable!("invariant violated: without a store nothing can fail or interrupt"),
     }
 }
 
@@ -187,16 +175,6 @@ pub struct SupervisedCampaign {
     pub lost: Vec<u64>,
 }
 
-/// How a resumable campaign run ended.
-#[derive(Debug)]
-pub enum ResumableRun {
-    /// Every slot was driven to completion or loss.
-    Completed(SupervisedCampaign),
-    /// The simulated kill fired ([`CheckpointStore::kill_after`]); the
-    /// last written snapshot is on disk, ready for resume.
-    Interrupted,
-}
-
 /// The checkpoint identity of a `(config, fault plan)` campaign.
 pub fn campaign_fingerprint(cfg: &FleetConfig, plan: &FaultPlan) -> Fingerprint {
     Fingerprint {
@@ -206,35 +184,16 @@ pub fn campaign_fingerprint(cfg: &FleetConfig, plan: &FaultPlan) -> Fingerprint 
     }
 }
 
-/// [`run_campaign`] under a fault plan and retry policy: slots that
-/// draw operational faults retry with backoff; slots that exhaust the
-/// budget are dropped from the outcome and reported in the attrition
-/// stats — the campaign itself always completes.
-pub fn run_campaign_supervised(
-    cfg: &FleetConfig,
-    suite: &Suite,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> SupervisedCampaign {
-    let pop = FleetPopulation::sample(cfg);
-    match run_campaign_resumable(cfg, suite, &pop, plan, policy, None, None) {
-        Ok(ResumableRun::Completed(run)) => run,
-        Ok(ResumableRun::Interrupted) => {
-            unreachable!("no checkpoint store, so no kill hook can fire")
-        }
-        Err(e) => unreachable!("no checkpoint store, so no checkpoint I/O can fail: {e}"),
-    }
-}
-
-/// The checkpointable supervised campaign driver.
+/// The supervised, checkpointable campaign: [`run_campaign`] under a
+/// fault plan and retry policy. Slots that draw operational faults retry
+/// with backoff; slots that exhaust the budget are dropped from the
+/// outcome and reported in the attrition stats.
 ///
 /// Each slot is a pure function of `(cfg.seed, plan, population
 /// index)`, so `resume` only needs the completed [`ItemRecord`]s:
 /// workers skip those indices and recompute the rest, and the assembled
 /// outcome is bitwise identical to an uninterrupted run at any thread
-/// count. With a `store`, a snapshot is written atomically every
-/// [`CheckpointStore::every`] completions (plus once at the end);
-/// `store.kill_after` simulates SIGKILL for the determinism tests.
+/// count. Snapshots and the kill hook are [`run_checkpointed`]'s.
 pub fn run_campaign_resumable(
     cfg: &FleetConfig,
     suite: &Suite,
@@ -242,119 +201,69 @@ pub fn run_campaign_resumable(
     plan: &FaultPlan,
     policy: &RetryPolicy,
     store: Option<&CheckpointStore>,
-    resume: Option<&CampaignCheckpoint>,
-) -> Result<ResumableRun, CheckpointError> {
+    resume: Option<&Checkpoint<ItemRecord>>,
+) -> Result<ResumableRun<SupervisedCampaign>, CheckpointError> {
     let pipeline = StageSpec::default_pipeline();
     let clock_hz = 1e7;
     let root = DetRng::new(cfg.seed).fork_str("fleet-campaign");
     let profile_cache = SuiteProfileCache::new();
-    let done: HashMap<usize, ItemRecord> = resume.map(|c| c.by_index()).unwrap_or_default();
+    let snapshot = resume
+        .cloned()
+        .unwrap_or_else(|| Checkpoint::empty(campaign_fingerprint(cfg, plan)));
 
-    struct Sink {
-        snapshot: CampaignCheckpoint,
-        since_write: usize,
-        new_done: usize,
-        error: Option<CheckpointError>,
-    }
-    let killed = AtomicBool::new(false);
-    let sink = Mutex::new(Sink {
-        snapshot: resume.cloned().unwrap_or_else(|| {
-            CampaignCheckpoint::empty(campaign_fingerprint(cfg, plan))
-        }),
-        since_write: 0,
-        new_done: 0,
-        error: None,
-    });
-
-    let records = crate::parallel::run_indexed(&pop.defective, cfg.threads, |i, processor| {
-        if let Some(rec) = done.get(&i) {
-            return Some(rec.clone());
-        }
-        if killed.load(Ordering::Relaxed) {
-            return None;
-        }
-        let label = processor.id.0;
-        let slot = run_slot(policy, plan, label, |attempt| {
-            let fail_read = match attempt.injected {
-                Some(OpFault::ProfileRead) => Some(attempt.index),
-                Some(fault) => return Err(SlotError::Fault(fault)),
-                None => None,
-            };
-            let profiles = profile_cache.get_or_build_fallible(
-                suite,
-                processor.physical_cores as usize,
-                cfg.threads,
-                fail_read,
-            )?;
-            // Re-fork the fate stream from scratch every attempt:
-            // supervision is transparent to a successful slot's result.
-            let mut rng = root.fork(label);
-            let fate = processor_fate(processor, suite, &profiles, &pipeline, clock_hz, &mut rng);
-            Ok((processor.arch, fate))
-        });
-        let fate = slot.result.map(|(_, f)| f);
-        let rec = ItemRecord::of(i, processor.arch, fate, &slot.report);
-        if let Some(store) = store {
-            let mut s = sink.lock().expect("checkpoint sink");
-            s.snapshot.items.push(rec.clone());
-            s.since_write += 1;
-            s.new_done += 1;
-            if s.since_write >= store.every && s.error.is_none() {
-                if let Err(e) = store.write(&s.snapshot) {
-                    s.error = Some(e);
-                }
-                s.since_write = 0;
-            }
-            if let Some(k) = store.kill_after {
-                if s.new_done >= k {
-                    killed.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        Some(rec)
-    });
-
-    if let Some(e) = sink.lock().expect("checkpoint sink").error.take() {
-        return Err(e);
-    }
-    if killed.load(Ordering::Relaxed) {
-        return Ok(ResumableRun::Interrupted);
-    }
-
-    let mut fates = Vec::new();
-    let mut attrition = AttritionStats::default();
-    let mut lost = Vec::new();
-    for rec in &records {
-        let rec = rec
-            .as_ref()
-            .expect("invariant violated: every slot completes when the kill hook never fired");
-        let report = rec.report();
-        match rec.fate() {
-            Some(fate) => {
-                attrition.record(true, &report);
-                fates.push((ArchId(rec.arch), fate));
-            }
-            None => {
-                attrition.record(false, &report);
-                lost.push(rec.index);
-            }
-        }
-    }
-    if let Some(store) = store {
-        // Leave a complete snapshot behind so a finished run can be
-        // "resumed" into an instant replay.
-        let sink = sink.lock().expect("checkpoint sink");
-        store.write(&sink.snapshot)?;
-    }
-    Ok(ResumableRun::Completed(SupervisedCampaign {
-        outcome: CampaignOutcome {
-            total_cpus: pop.total(),
-            per_arch_total: pop.per_arch_total.clone(),
-            fates,
-            suite_cache: profile_cache.stats(),
+    let run = run_checkpointed(
+        &pop.defective,
+        cfg.threads,
+        store,
+        snapshot,
+        |rec| Some(rec.index as usize),
+        |i, processor| {
+            let label = processor.id.0;
+            let slot = run_slot(policy, plan, label, |attempt| {
+                let fail_read = match attempt.injected {
+                    Some(OpFault::ProfileRead) => Some(attempt.index),
+                    Some(fault) => return Err(SlotError::Fault(fault)),
+                    None => None,
+                };
+                let profiles = profile_cache.get_or_build_fallible(
+                    suite,
+                    processor.physical_cores as usize,
+                    cfg.threads,
+                    fail_read,
+                )?;
+                // Re-fork the fate stream from scratch every attempt:
+                // supervision is transparent to a successful slot's result.
+                let mut rng = root.fork(label);
+                Ok(processor_fate(
+                    processor, suite, &profiles, &pipeline, clock_hz, &mut rng,
+                ))
+            });
+            ItemRecord::of(i, processor.arch, slot.result, &slot.report)
         },
-        attrition,
-        lost,
+    )?;
+
+    Ok(run.map(|records| {
+        let mut fates = Vec::new();
+        let mut attrition = AttritionStats::default();
+        let mut lost = Vec::new();
+        for rec in &records {
+            let fate = rec.fate();
+            attrition.record(fate.is_some(), &rec.report());
+            match fate {
+                Some(fate) => fates.push((ArchId(rec.arch), fate)),
+                None => lost.push(rec.index),
+            }
+        }
+        SupervisedCampaign {
+            outcome: CampaignOutcome {
+                total_cpus: pop.total(),
+                per_arch_total: pop.per_arch_total.clone(),
+                fates,
+                suite_cache: profile_cache.stats(),
+            },
+            attrition,
+            lost,
+        }
     }))
 }
 
@@ -497,6 +406,15 @@ mod tests {
         assert_eq!(serial.per_arch_total, parallel.per_arch_total);
     }
 
+    /// A store-less supervised run, which always completes.
+    fn supervised(cfg: &FleetConfig, suite: &Suite, plan: &FaultPlan) -> SupervisedCampaign {
+        let pop = FleetPopulation::sample(cfg);
+        match run_campaign_resumable(cfg, suite, &pop, plan, &RetryPolicy::default(), None, None) {
+            Ok(ResumableRun::Completed(run)) => run,
+            other => panic!("a run without a store completes, got {other:?}"),
+        }
+    }
+
     #[test]
     fn quiet_supervision_matches_unsupervised_campaign() {
         let cfg = FleetConfig {
@@ -505,10 +423,7 @@ mod tests {
             threads: 2,
         };
         let suite = Suite::standard();
-        let plain = run_campaign(&cfg, &suite);
-        let supervised =
-            run_campaign_supervised(&cfg, &suite, &FaultPlan::default(), &RetryPolicy::default());
-        assert_eq!(supervised.outcome.fates, plain.fates);
+        let supervised = supervised(&cfg, &suite, &FaultPlan::default());
         assert_eq!(supervised.attrition.lost, 0);
         assert_eq!(supervised.attrition.retries, 0);
         assert_eq!(supervised.attrition.coverage(), 1.0);
@@ -530,7 +445,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let suite = Suite::standard();
-        let run = run_campaign_supervised(&cfg, &suite, &plan, &RetryPolicy::default());
+        let run = supervised(&cfg, &suite, &plan);
         assert_eq!(run.attrition.items, run.outcome.fates.len() as u64 + run.lost.len() as u64);
         assert!(run.attrition.total_faults() > 0, "a storm must leave marks");
         assert!(run.attrition.retries > 0);
@@ -565,9 +480,9 @@ mod tests {
             seed: 41,
             threads: 1,
         };
-        let serial = run_campaign_supervised(&cfg, &suite, &plan, &RetryPolicy::default());
+        let serial = supervised(&cfg, &suite, &plan);
         cfg.threads = 8;
-        let parallel = run_campaign_supervised(&cfg, &suite, &plan, &RetryPolicy::default());
+        let parallel = supervised(&cfg, &suite, &plan);
         assert_eq!(serial.outcome.fates, parallel.outcome.fates);
         assert_eq!(serial.attrition, parallel.attrition);
         assert_eq!(serial.lost, parallel.lost);

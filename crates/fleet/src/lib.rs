@@ -15,7 +15,9 @@
 //!   model) so a million-CPU campaign runs in seconds;
 //! * [`lifecycle`] defines the stages and their intensities;
 //! * [`campaign`] runs the whole pipeline and produces the per-stage and
-//!   per-architecture failure rates of Tables 1 and 2.
+//!   per-architecture failure rates of Tables 1 and 2;
+//! * [`checkpoint`] holds the supervised, resumable execution the
+//!   campaign and the Farron evaluation share.
 
 pub mod campaign;
 pub mod chaos;
@@ -28,12 +30,13 @@ pub mod screening;
 pub mod supervisor;
 
 pub use campaign::{
-    campaign_fingerprint, run_campaign, run_campaign_on, run_campaign_resumable,
-    run_campaign_supervised, CampaignOutcome, Fate, ResumableRun, SupervisedCampaign,
+    campaign_fingerprint, run_campaign, run_campaign_on, run_campaign_resumable, CampaignOutcome,
+    Fate, SupervisedCampaign,
 };
 pub use chaos::{FaultPlan, OpFault};
 pub use checkpoint::{
-    CampaignCheckpoint, CheckpointError, CheckpointStore, Fingerprint, ItemRecord,
+    run_checkpointed, Checkpoint, CheckpointError, CheckpointStore, Fingerprint, ItemRecord,
+    ResumableRun,
 };
 pub use exposure::{exposure_report, ExposureReport};
 pub use lifecycle::{Stage, StageSpec};

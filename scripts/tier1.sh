@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md): release build, the root test
-# suite, and the parallel-determinism integration tests. Run from
-# anywhere; exits non-zero on the first failure.
+# suite, the parallel-determinism integration tests, and the benchmark
+# package (perfbench/) build and tests. Run from anywhere; exits non-zero
+# on the first failure.
 #
 #   --conform   additionally run the quick conformance gate
 #               (`repro conform --quick`, see EXPERIMENTS.md).
@@ -38,6 +39,9 @@ cargo bench -q -p bench --bench softcore_hotpath -- --quick
 
 echo "== tier-1: campaign executor regression gate (bench --quick) =="
 cargo bench -q -p bench --bench campaign_hotpath -- --quick
+
+echo "== tier-1: benchmark builds and passes its tests (perfbench) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1: clippy (chaos-touched crates) =="
 cargo clippy -q -p toolchain -p fleet -p farron -p analysis -p sdc-repro -- -D warnings -D clippy::perf

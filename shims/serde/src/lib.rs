@@ -441,10 +441,11 @@ impl<T: Deserialize> Deserialize for Option<T> {
 /// Implements `Serialize`/`Deserialize` for a plain struct as a JSON
 /// object with one member per listed field. Invoke from a scope with
 /// access to the fields (the defining module works for private ones).
+/// A struct with one type parameter is written `Name<T> { ... }`.
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
-        impl $crate::Serialize for $ty {
+    ($ty:ident $(<$param:ident>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$param: $crate::Serialize>)? $crate::Serialize for $ty$(<$param>)? {
             fn serialize_json(&self, out: &mut String) {
                 out.push('{');
                 let mut first = true;
@@ -460,7 +461,7 @@ macro_rules! impl_json_struct {
                 out.push('}');
             }
         }
-        impl $crate::Deserialize for $ty {
+        impl$(<$param: $crate::Deserialize>)? $crate::Deserialize for $ty$(<$param>)? {
             fn deserialize_json(
                 p: &mut $crate::json::Parser<'_>,
             ) -> Result<Self, $crate::json::Error> {

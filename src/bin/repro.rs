@@ -18,16 +18,16 @@
 //! killed run can continue with `--resume <path>`, bitwise identical to
 //! an uninterrupted run.
 
-use analysis::study::{run_deep_study, StudyConfig, StudyData};
+use analysis::study::{run_deep_study, StudyData};
 use analysis::{
     bitflips, casebook, datatypes, features, observations, precision, reproducibility, temperature,
     AttritionReport,
 };
-use farron::eval::{evaluate, evaluate_chaos, EvalConfig};
+use conformance::metrics::{campaign_config, study_config};
+use farron::eval::{evaluate, evaluate_resumable, EvalConfig};
 use fleet::{
-    campaign_fingerprint, run_campaign, run_campaign_resumable, CampaignCheckpoint,
-    CampaignOutcome, CheckpointStore, FaultPlan, FleetConfig, FleetPopulation, ResumableRun,
-    RetryPolicy,
+    campaign_fingerprint, run_campaign, run_campaign_resumable, CampaignOutcome, Checkpoint,
+    CheckpointStore, FaultPlan, FleetPopulation, ResumableRun, RetryPolicy,
 };
 use sdc_model::{DataType, Duration};
 use std::path::PathBuf;
@@ -160,18 +160,7 @@ impl Lazy {
     fn study(&mut self) -> &StudyData {
         if self.study.is_none() {
             eprintln!("[repro] running the 27-processor deep study…");
-            let cfg = StudyConfig {
-                per_testcase: if self.quick {
-                    Duration::from_secs(30)
-                } else {
-                    Duration::from_mins(2)
-                },
-                seed: 27,
-                max_candidates: if self.quick { Some(40) } else { None },
-                threads: self.threads,
-                ..StudyConfig::default()
-            };
-            self.study = Some(run_deep_study(&cfg));
+            self.study = Some(run_deep_study(&study_config(self.quick, self.threads)));
         }
         self.study
             .as_ref()
@@ -184,11 +173,7 @@ fn hr(title: &str) {
 }
 
 fn table1_and_2(lazy: &Lazy, opts: &Opts) {
-    let cfg = FleetConfig {
-        total_cpus: if lazy.quick { 200_000 } else { 1_050_000 },
-        seed: 2021,
-        threads: lazy.threads,
-    };
+    let cfg = campaign_config(lazy.quick, lazy.threads);
     eprintln!(
         "[repro] running the fleet campaign over {} CPUs…",
         cfg.total_cpus
@@ -202,8 +187,10 @@ fn table1_and_2(lazy: &Lazy, opts: &Opts) {
     let plan = opts.chaos.unwrap_or_default();
     let policy = RetryPolicy::default();
     let fingerprint = campaign_fingerprint(&cfg, &plan);
-    let resume = opts.resume.as_ref().map(|path| {
-        match CampaignCheckpoint::load(path, &fingerprint) {
+    let resume = opts
+        .resume
+        .as_ref()
+        .map(|path| match Checkpoint::load(path, &fingerprint) {
             Ok(ck) => {
                 eprintln!(
                     "[repro] resuming from {} ({} completed items)",
@@ -216,8 +203,7 @@ fn table1_and_2(lazy: &Lazy, opts: &Opts) {
                 eprintln!("repro: cannot resume: {e}");
                 std::process::exit(2);
             }
-        }
-    });
+        });
     let store = opts
         .checkpoint
         .clone()
@@ -570,10 +556,10 @@ fn table4_and_fig11(lazy: &Lazy, opts: &Opts) {
         ..EvalConfig::default()
     };
     let (rows, attrition) = match &opts.chaos {
-        Some(plan) => {
-            let (rows, attrition) = evaluate_chaos(&cfg, plan, &RetryPolicy::default());
-            (rows, Some(attrition))
-        }
+        Some(plan) => match evaluate_resumable(&cfg, plan, &RetryPolicy::default(), None, None) {
+            Ok(ResumableRun::Completed((rows, attrition))) => (rows, Some(attrition)),
+            _ => unreachable!("invariant violated: without a store nothing can fail or interrupt"),
+        },
         None => (evaluate(&cfg), None),
     };
     hr("Figure 11 — one-round regular-testing coverage");

@@ -9,8 +9,8 @@
 //! never interrupted.
 
 use fleet::{
-    campaign_fingerprint, run_campaign_resumable, CampaignCheckpoint, CheckpointStore, FaultPlan,
-    FleetConfig, FleetPopulation, ResumableRun, RetryPolicy, SupervisedCampaign,
+    campaign_fingerprint, run_campaign_resumable, Checkpoint, CheckpointStore, FaultPlan,
+    FleetConfig, FleetPopulation, ItemRecord, ResumableRun, RetryPolicy, SupervisedCampaign,
 };
 use toolchain::Suite;
 
@@ -38,8 +38,8 @@ fn run_plain(
     suite: &Suite,
     pop: &FleetPopulation,
     store: Option<&CheckpointStore>,
-    resume: Option<&CampaignCheckpoint>,
-) -> ResumableRun {
+    resume: Option<&Checkpoint<ItemRecord>>,
+) -> ResumableRun<SupervisedCampaign> {
     run_campaign_resumable(
         cfg,
         suite,
@@ -52,7 +52,7 @@ fn run_plain(
     .expect("checkpoint plumbing")
 }
 
-fn completed(run: ResumableRun) -> SupervisedCampaign {
+fn completed(run: ResumableRun<SupervisedCampaign>) -> SupervisedCampaign {
     match run {
         ResumableRun::Completed(run) => run,
         ResumableRun::Interrupted => panic!("run without a kill hook cannot be interrupted"),
@@ -104,7 +104,8 @@ fn kill_and_resume_matches_uninterrupted() {
         ));
 
         // The snapshot is genuinely partial: some items, not all.
-        let snapshot = CampaignCheckpoint::load(&path, &fingerprint).expect("snapshot on disk");
+        let snapshot: Checkpoint<ItemRecord> =
+            Checkpoint::load(&path, &fingerprint).expect("snapshot on disk");
         assert!(!snapshot.items.is_empty(), "threads {threads}: no progress");
         assert!(
             snapshot.items.len() < pop.defective.len(),
@@ -127,7 +128,8 @@ fn kill_and_resume_matches_uninterrupted() {
 
         // The final snapshot now covers every item; a second resume does
         // zero new work and still reports the same campaign.
-        let full = CampaignCheckpoint::load(&path, &fingerprint).expect("final snapshot");
+        let full: Checkpoint<ItemRecord> =
+            Checkpoint::load(&path, &fingerprint).expect("final snapshot");
         assert_eq!(full.items.len(), pop.defective.len());
         let replayed = completed(run_plain(
             &cfg(threads),
@@ -154,9 +156,9 @@ fn checkpoint_fingerprint_guards_resume() {
 
     let mut other = cfg(0);
     other.seed ^= 1;
-    assert!(CampaignCheckpoint::load(&path, &campaign_fingerprint(&other, &storm())).is_err());
-    let calm = campaign_fingerprint(&cfg(0), &FaultPlan::default());
-    assert!(CampaignCheckpoint::load(&path, &calm).is_err());
-    assert!(CampaignCheckpoint::load(&path, &campaign_fingerprint(&cfg(0), &storm())).is_ok());
+    let load = |fingerprint| Checkpoint::<ItemRecord>::load(&path, &fingerprint);
+    assert!(load(campaign_fingerprint(&other, &storm())).is_err());
+    assert!(load(campaign_fingerprint(&cfg(0), &FaultPlan::default())).is_err());
+    assert!(load(campaign_fingerprint(&cfg(0), &storm())).is_ok());
     std::fs::remove_dir_all(&dir).ok();
 }
