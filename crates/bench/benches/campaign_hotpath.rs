@@ -14,7 +14,8 @@
 //! * `--quick` — tier-1 regression gate: re-measures the single-case
 //!   executor speedup (fast vs reference chunk loop) and fails
 //!   (exit 1) if it regressed more than 20% against the checked-in
-//!   artifact. Like the softcore gate it compares the speedup *ratio*,
+//!   artifact, or if the artifact or its recorded speedup is missing.
+//!   Like the softcore gate it compares the speedup *ratio*,
 //!   so it is meaningful across machines of different absolute speed.
 //!
 //! Unit profiles are warmed before timing (one untimed fast run), so
@@ -205,19 +206,24 @@ fn artifact() {
     eprintln!("[campaign_hotpath] wrote {ARTIFACT}");
 }
 
-/// Tier-1 regression gate (`--quick`): exits nonzero if the executor
-/// fast path's speedup over the reference chunk loop fell more than
-/// 20% below the checked-in artifact.
+/// Exits 1 with a diagnostic: a gate whose baseline is missing fails.
+fn fail(msg: &str) -> ! {
+    eprintln!("[campaign_hotpath] FAIL: {msg}");
+    std::process::exit(1);
+}
+
+/// Tier-1 regression gate (`--quick`): exits 1 if the executor fast
+/// path's speedup over the reference chunk loop fell more than 20% below
+/// the checked-in artifact, or if the artifact or its `speedup_quick`
+/// field is missing.
 fn quick_gate() {
-    let json = match std::fs::read_to_string(ARTIFACT) {
-        Ok(j) => j,
-        Err(_) => {
-            eprintln!("[campaign_hotpath] no {ARTIFACT}; run without --quick to create it");
-            return;
-        }
-    };
+    let json = std::fs::read_to_string(ARTIFACT).unwrap_or_else(|e| {
+        fail(&format!(
+            "cannot read {ARTIFACT} ({e}); run without --quick to create it"
+        ))
+    });
     let recorded = artifact_field(&json, "speedup_quick")
-        .expect("BENCH_campaign.json has no speedup_quick field");
+        .unwrap_or_else(|| fail(&format!("{ARTIFACT} has no speedup_quick field")));
     let current = single_case_speedup(Duration::from_mins(20));
     eprintln!(
         "[campaign_hotpath] quick gate: executor speedup {current:.2}x \
@@ -225,8 +231,7 @@ fn quick_gate() {
         recorded * 0.8
     );
     if current < recorded * 0.8 {
-        eprintln!("[campaign_hotpath] FAIL: campaign executor speedup regressed >20%");
-        std::process::exit(1);
+        fail("campaign executor speedup regressed >20%");
     }
 }
 

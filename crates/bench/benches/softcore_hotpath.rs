@@ -1,24 +1,29 @@
 //! Softcore interpreter hot-path throughput: the monomorphized,
 //! predecoded fast path ([`Machine::run`]) vs the seed interpreter kept
 //! verbatim as [`Machine::run_reference`], for golden (NoFaults) and
-//! fault-injected runs.
+//! fault-injected single-core runs, and for the contended multi-core
+//! loop (a filler-diluted lock counter at 16 and 64 live cores under
+//! the toolchain's [`Profiler`], the shape that dominates unit
+//! profiling).
 //!
 //! Two modes:
 //!
 //! * default — measures all paths, writes `BENCH_softcore.json` at the
-//!   repo root (instructions/sec plus the fast-path speedup over the
+//!   repo root (instructions/sec plus the fast-path speedups over the
 //!   seed baseline), then runs criterion benches for tracking;
-//! * `--quick` — regression gate for tier-1: re-measures the golden
-//!   fast path and the reference baseline, and fails (exit 1) if the
-//!   golden-vs-reference speedup regressed more than 20% against the
-//!   checked-in artifact. The gate compares the speedup *ratio*, not
-//!   raw instructions/sec, so it is meaningful across machines of
-//!   different absolute speed.
+//! * `--quick` — regression gate for tier-1: re-measures the fast paths
+//!   and the reference baseline, and fails (exit 1) if the golden or the
+//!   contended speedup regressed more than 20% against the checked-in
+//!   artifact, or if the artifact or one of those fields is missing. The
+//!   gate compares speedup *ratios*, not raw instructions/sec, so it is
+//!   meaningful across machines of different absolute speed.
 
 use sdc_model::{ArchId, CpuId, DataType, DetRng};
 use silicon::{BitPattern, Defect, DefectKind, DefectScope, Injector, Processor, Trigger};
 use softcore::{DecodedProgram, InstClass, IntOpKind, Machine, NoFaults, Program, ProgramBuilder};
 use std::time::Instant;
+use toolchain::profile::Profiler;
+use toolchain::{builders, BuiltTestcase, Suite};
 
 const ARTIFACT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_softcore.json");
 
@@ -101,6 +106,83 @@ fn measure_ips(path: Path, budget_secs: f64) -> f64 {
     steps as f64 / t.elapsed().as_secs_f64()
 }
 
+/// The contended leg's testcase (its first variant in the standard
+/// suite): a two-thread lock counter diluted with 4×64 iterations of
+/// `Pause` filler per round, one group per core pair.
+const CONTENDED_TESTCASE: &str = "cache/lock/t2/r4/d4";
+
+/// Live-core counts of the contended leg.
+const CONTENDED_CORES: [usize; 2] = [16, 64];
+
+/// Seconds the contended leg alternates the two interpreters, the same in
+/// both modes: the fastest of more repetitions reads higher, so the gate
+/// must draw as many as the recorded value did.
+const CONTENDED_BUDGET_SECS: f64 = 1.0;
+
+/// The contended testcase built for `cores` cores, with the profiler's
+/// default unit iterations.
+fn contended_build(cores: usize) -> BuiltTestcase {
+    let suite = Suite::standard();
+    let tc = suite
+        .testcases()
+        .iter()
+        .find(|t| t.name.split('#').next() == Some(CONTENDED_TESTCASE))
+        .expect("contended testcase is in the standard suite");
+    builders::build(tc, cores, 4, 0xc0de)
+}
+
+/// Instructions/sec of the fast and of the reference interpreter on the
+/// contended leg. A repetition runs the testcase at every
+/// [`CONTENDED_CORES`] count under a fresh [`Profiler`]; repetitions of
+/// the two interpreters alternate until `budget_secs` elapses, and each
+/// reports its fastest repetition, which shared-host interference can
+/// only slow down.
+fn measure_contended_ips(budget_secs: f64) -> (f64, f64) {
+    let mut machines: Vec<(Machine, BuiltTestcase)> = CONTENDED_CORES
+        .iter()
+        .map(|&cores| {
+            let built = contended_build(cores);
+            let mut machine = Machine::new(cores, built.mem_bytes);
+            for (c, p) in built.programs.iter().enumerate() {
+                if let Some(p) = p {
+                    machine.load(c, p.clone());
+                }
+            }
+            (machine, built)
+        })
+        .collect();
+    let mut ips_of = |reference: bool| -> f64 {
+        let t = Instant::now();
+        let mut steps = 0;
+        for (machine, built) in &mut machines {
+            machine.restart();
+            for &(addr, val) in &built.mem_init {
+                machine.mem.raw_write_u64(addr, val);
+            }
+            let mut profiler = Profiler::new(DetRng::new(0x9821));
+            let mut rng = DetRng::new(0x77aa);
+            let out = if reference {
+                machine.run_reference(&mut profiler, &mut rng, u64::MAX)
+            } else {
+                machine.run(&mut profiler, &mut rng, u64::MAX)
+            };
+            assert!(out.completed);
+            steps += out.steps;
+        }
+        steps as f64 / t.elapsed().as_secs_f64()
+    };
+    ips_of(false); // warm-up, untimed
+    let (mut fast, mut reference) = (0.0f64, 0.0f64);
+    let mut reps = 0u32;
+    let t = Instant::now();
+    while reps < 3 || t.elapsed().as_secs_f64() < budget_secs {
+        fast = fast.max(ips_of(false));
+        reference = reference.max(ips_of(true));
+        reps += 1;
+    }
+    (fast, reference)
+}
+
 /// Reads a numeric field out of the checked-in artifact (the harness
 /// has no JSON parser; the artifact is flat and written by this bench).
 fn artifact_field(json: &str, field: &str) -> Option<f64> {
@@ -114,47 +196,71 @@ fn artifact() {
     let golden = measure_ips(Path::Golden, 1.0);
     let reference = measure_ips(Path::Reference, 1.0);
     let injected = measure_ips(Path::Injected, 1.0);
+    let (contended, contended_reference) = measure_contended_ips(CONTENDED_BUDGET_SECS);
     let fused = DecodedProgram::decode(&hot_program(10_000)).fused_pairs();
     let speedup_golden = golden / reference;
     let speedup_injected = injected / reference;
+    let speedup_contended = contended / contended_reference;
     eprintln!(
         "[softcore_hotpath] golden {golden:.0} inst/s, reference {reference:.0} inst/s \
          ({speedup_golden:.2}x), injected {injected:.0} inst/s ({speedup_injected:.2}x), \
-         {fused} fused pair sites"
+         {fused} fused pair sites; contended {contended:.0} inst/s, reference \
+         {contended_reference:.0} inst/s ({speedup_contended:.2}x)"
     );
     let json = format!(
         "{{\n  \"golden_ips\": {golden:.0},\n  \"reference_ips\": {reference:.0},\n  \
          \"injected_ips\": {injected:.0},\n  \"speedup_golden\": {speedup_golden:.4},\n  \
-         \"speedup_injected\": {speedup_injected:.4},\n  \"fused_pair_sites\": {fused}\n}}\n"
+         \"speedup_injected\": {speedup_injected:.4},\n  \"fused_pair_sites\": {fused},\n  \
+         \"contended_ips\": {contended:.0},\n  \
+         \"contended_reference_ips\": {contended_reference:.0},\n  \
+         \"speedup_contended\": {speedup_contended:.4}\n}}\n"
     );
     std::fs::write(ARTIFACT, json).expect("write BENCH_softcore.json");
     eprintln!("[softcore_hotpath] wrote {ARTIFACT}");
 }
 
-/// Tier-1 regression gate (`--quick`): exits nonzero if the fast path's
-/// speedup over the seed interpreter fell more than 20% below the
-/// checked-in artifact.
+/// Exits 1 with a diagnostic: a gate whose baseline is missing fails.
+fn fail(msg: &str) -> ! {
+    eprintln!("[softcore_hotpath] FAIL: {msg}");
+    std::process::exit(1);
+}
+
+/// Tier-1 regression gate (`--quick`): exits 1 if the golden or the
+/// contended fast path's speedup over the seed interpreter fell more than
+/// 20% below the checked-in artifact, or if the artifact or a recorded
+/// speedup is missing.
 fn quick_gate() {
-    let json = match std::fs::read_to_string(ARTIFACT) {
-        Ok(j) => j,
-        Err(_) => {
-            eprintln!("[softcore_hotpath] no {ARTIFACT}; run without --quick to create it");
-            return;
-        }
+    let json = std::fs::read_to_string(ARTIFACT).unwrap_or_else(|e| {
+        fail(&format!(
+            "cannot read {ARTIFACT} ({e}); run without --quick to create it"
+        ))
+    });
+    let recorded = |field: &str| {
+        artifact_field(&json, field)
+            .unwrap_or_else(|| fail(&format!("{ARTIFACT} has no {field} field")))
     };
-    let recorded = artifact_field(&json, "speedup_golden")
-        .expect("BENCH_softcore.json has no speedup_golden field");
-    let golden = measure_ips(Path::Golden, 0.4);
-    let reference = measure_ips(Path::Reference, 0.4);
-    let current = golden / reference;
-    eprintln!(
-        "[softcore_hotpath] quick gate: golden speedup {current:.2}x \
-         (recorded {recorded:.2}x, floor {:.2}x)",
-        recorded * 0.8
-    );
-    if current < recorded * 0.8 {
-        eprintln!("[softcore_hotpath] FAIL: golden-run throughput regressed >20%");
-        std::process::exit(1);
+    let recorded_golden = recorded("speedup_golden");
+    let recorded_contended = recorded("speedup_contended");
+    let golden = measure_ips(Path::Golden, 0.4) / measure_ips(Path::Reference, 0.4);
+    let (contended, contended_reference) = measure_contended_ips(CONTENDED_BUDGET_SECS);
+    let contended = contended / contended_reference;
+    let mut failed = false;
+    for (name, current, recorded) in [
+        ("golden", golden, recorded_golden),
+        ("contended", contended, recorded_contended),
+    ] {
+        eprintln!(
+            "[softcore_hotpath] quick gate: {name} speedup {current:.2}x \
+             (recorded {recorded:.2}x, floor {:.2}x)",
+            recorded * 0.8
+        );
+        if current < recorded * 0.8 {
+            eprintln!("[softcore_hotpath] {name}-run throughput regressed >20%");
+            failed = true;
+        }
+    }
+    if failed {
+        fail("fast-path speedup below its floor");
     }
 }
 

@@ -69,6 +69,31 @@ impl DetRng {
         self.inner.gen_range(0..n)
     }
 
+    /// Fills `out` with exactly the values that `out.len()` successive
+    /// [`Self::below`]`(n)` calls return, and leaves the stream where
+    /// those calls leave it.
+    ///
+    /// Same widening multiply and rejection zone as `below` (rand's
+    /// Lemire sampler), with the rejection turned into an index
+    /// increment: a rejected draw is overwritten by the next one, so the
+    /// loop has no data-dependent branch. A caller that consumes only the
+    /// first `m` values restores a clone taken before the call and calls
+    /// this again on `out[..m]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn fill_below(&mut self, n: u64, out: &mut [u64]) {
+        assert!(n > 0, "fill_below(0)");
+        let zone = (n << n.leading_zeros()).wrapping_sub(1);
+        let mut i = 0;
+        while let Some(slot) = out.get_mut(i) {
+            let wide = u128::from(self.inner.next_u64()) * u128::from(n);
+            *slot = (wide >> 64) as u64;
+            i += usize::from(wide as u64 <= zone);
+        }
+    }
+
     /// Uniform `f64` in `[lo, hi)`.
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         self.inner.gen_range(lo..hi)
@@ -362,6 +387,49 @@ mod tests {
                 // Streams advanced identically.
                 assert_eq!(a.next_u64(), b.next_u64(), "lambda {lambda} seed {seed}");
             }
+        }
+    }
+
+    /// `fill_below` must return the same values as repeated `below` AND
+    /// leave the stream in the same state, for every small bound (powers
+    /// of two, where about half the draws are rejected, included) and
+    /// buffer length; a restore-and-regenerate of a consumed prefix must
+    /// land where that many `below` calls do.
+    #[test]
+    fn fill_below_is_draw_equivalent() {
+        let mut buf = [0u64; 300];
+        for n in 1..=65u64 {
+            for len in [0usize, 1, 2, 3, 7, 64, 255, 256, 300] {
+                let seed = n * 1000 + len as u64;
+                let mut a = DetRng::new(seed);
+                let mut b = DetRng::new(seed);
+                let expect: Vec<u64> = (0..len).map(|_| a.below(n)).collect();
+                b.fill_below(n, &mut buf[..len]);
+                assert_eq!(buf[..len], expect[..], "n {n} len {len}");
+                assert_eq!(a.next_u64(), b.next_u64(), "n {n} len {len}");
+            }
+            for m in [0usize, 1, 5, 100, 255] {
+                let seed = n ^ 0xbeef;
+                let mut a = DetRng::new(seed);
+                let mut b = DetRng::new(seed);
+                let snapshot = b.clone();
+                b.fill_below(n, &mut buf[..256]);
+                b = snapshot;
+                b.fill_below(n, &mut buf[..m]);
+                for _ in 0..m {
+                    a.below(n);
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "resync n {n} m {m}");
+            }
+        }
+        // Large bounds, where rejections are rare or frequent.
+        for n in [u64::MAX, 1 << 63, (1 << 63) + 1, 3 << 40] {
+            let mut a = DetRng::new(n);
+            let mut b = DetRng::new(n);
+            let expect: Vec<u64> = (0..100).map(|_| a.below(n)).collect();
+            b.fill_below(n, &mut buf[..100]);
+            assert_eq!(buf[..100], expect[..], "n {n}");
+            assert_eq!(a.next_u64(), b.next_u64(), "n {n}");
         }
     }
 

@@ -35,6 +35,42 @@ impl StepCost {
     };
 }
 
+/// Open counted loops, innermost last: the `LoopStart` pc and the
+/// iterations left.
+pub(crate) type LoopStack = Vec<(usize, u32)>;
+
+/// Control transfer of a core-local op (see
+/// [`crate::decode::DecodedProgram::local_run`]): the pc after the op at
+/// `pc`, pushing, decrementing or popping `loops` as loop control does.
+/// `skip_to` is the zero-count `LoopStart` target. `None` for a `LoopEnd`
+/// with no open loop, which validated programs cannot reach.
+#[inline]
+pub(crate) fn local_next_pc(
+    inst: Inst,
+    pc: usize,
+    skip_to: usize,
+    loops: &mut LoopStack,
+) -> Option<usize> {
+    Some(match inst {
+        Inst::LoopStart { count: 0 } => skip_to,
+        Inst::LoopStart { count } => {
+            loops.push((pc, count));
+            pc + 1
+        }
+        Inst::LoopEnd => {
+            let top = loops.last_mut()?;
+            top.1 -= 1;
+            if top.1 > 0 {
+                top.0 + 1
+            } else {
+                loops.pop();
+                pc + 1
+            }
+        }
+        _ => pc + 1,
+    })
+}
+
 /// One simulated physical core.
 #[derive(Debug, Clone)]
 pub struct Core {
@@ -43,7 +79,7 @@ pub struct Core {
     /// Architectural registers.
     pub regs: RegFile,
     pub(crate) pc: usize,
-    loop_stack: Vec<(usize, u32)>,
+    pub(crate) loop_stack: LoopStack,
     pub(crate) halted: bool,
     tx: TxState,
 }
@@ -211,17 +247,8 @@ impl Core {
                 usage.record(self.id, alu.class);
                 self.exec_alu(alu, hook, events);
                 usage.record(self.id, InstClass::Control);
-                let top = self
-                    .loop_stack
-                    .last_mut()
-                    .expect("LoopEnd without LoopStart (validated programs cannot reach this)");
-                top.1 -= 1;
-                if top.1 > 0 {
-                    self.pc = top.0 + 1;
-                } else {
-                    self.loop_stack.pop();
-                    self.pc += 2;
-                }
+                self.pc += 1;
+                self.exec_local(Inst::LoopEnd, 0);
             }
         }
         (fused.cost1, fused.cost2)
@@ -267,15 +294,14 @@ impl Core {
     ) {
         let mut next_pc = self.pc + 1;
         match inst {
-            Inst::MovImm { dst, imm } => self.regs.set_int(dst, imm),
-            Inst::Mov { dst, src } => {
-                let v = self.regs.int(src);
-                self.regs.set_int(dst, v);
-            }
-            Inst::AddImm { dst, src, imm } => {
-                let v = self.regs.int(src).wrapping_add(imm);
-                self.regs.set_int(dst, v);
-            }
+            Inst::MovImm { .. }
+            | Inst::Mov { .. }
+            | Inst::AddImm { .. }
+            | Inst::FMovImm { .. }
+            | Inst::CmpNe { .. }
+            | Inst::Pause
+            | Inst::LoopStart { .. }
+            | Inst::LoopEnd => return self.exec_local(inst, skip_to),
             Inst::IntOp { op, dt, dst, a, b } => {
                 let mask = dt.mask() as u64;
                 let x = self.regs.int(a) & mask;
@@ -295,7 +321,6 @@ impl Core {
                 let out = self.retire(class, dt, raw as u128, hook, events);
                 self.regs.set_int(dst, out as u64);
             }
-            Inst::FMovImm { dst, imm } => self.regs.set_float(dst, imm),
             Inst::FOp {
                 op,
                 prec,
@@ -503,36 +528,63 @@ impl Core {
                 let ok = self.tx.commit(self.id, mem, hook);
                 self.regs.set_int(dst, ok as u64);
             }
-            Inst::LoopStart { count } => {
-                if count == 0 {
-                    next_pc = skip_to;
-                } else {
-                    self.loop_stack.push((self.pc, count));
-                }
-            }
-            Inst::LoopEnd => {
-                let top = self
-                    .loop_stack
-                    .last_mut()
-                    .expect("LoopEnd without LoopStart (validated programs cannot reach this)");
-                top.1 -= 1;
-                if top.1 > 0 {
-                    next_pc = top.0 + 1;
-                } else {
-                    self.loop_stack.pop();
-                }
-            }
-            Inst::Pause => {}
-            Inst::CmpNe { dst, a, b } => {
-                let v = (self.regs.int(a) != self.regs.int(b)) as u64;
-                self.regs.set_int(dst, v);
-            }
             Inst::Halt => {
                 self.halted = true;
                 next_pc = self.pc;
             }
         }
         self.pc = next_pc;
+    }
+
+    /// Executes one core-local op (see
+    /// [`crate::decode::DecodedProgram::local_run`]): its register effect,
+    /// then its control transfer.
+    #[inline]
+    fn exec_local(&mut self, inst: Inst, skip_to: usize) {
+        match inst {
+            Inst::MovImm { dst, imm } => self.regs.set_int(dst, imm),
+            Inst::Mov { dst, src } => {
+                let v = self.regs.int(src);
+                self.regs.set_int(dst, v);
+            }
+            Inst::AddImm { dst, src, imm } => {
+                let v = self.regs.int(src).wrapping_add(imm);
+                self.regs.set_int(dst, v);
+            }
+            Inst::FMovImm { dst, imm } => self.regs.set_float(dst, imm),
+            Inst::CmpNe { dst, a, b } => {
+                let v = (self.regs.int(a) != self.regs.int(b)) as u64;
+                self.regs.set_int(dst, v);
+            }
+            Inst::Pause | Inst::LoopStart { .. } | Inst::LoopEnd => {}
+            other => unreachable!("{other:?} is not core-local"),
+        }
+        self.pc = local_next_pc(inst, self.pc, skip_to, &mut self.loop_stack)
+            .expect("LoopEnd without LoopStart (validated programs cannot reach this)");
+    }
+
+    /// Executes the next `n` ops, which the caller measured with
+    /// [`DecodedProgram::local_run`] to be core-local, straight-line.
+    /// Usage is recorded per op, and cycles and energy are added per op in
+    /// program order — f64 addition is not associative, so the energy sum
+    /// is never folded.
+    pub(crate) fn exec_local_run(
+        &mut self,
+        prog: &DecodedProgram,
+        n: u64,
+        usage: &mut UsageCounters,
+        cycles: &mut u64,
+        energy: &mut f64,
+    ) {
+        for _ in 0..n {
+            let op = prog
+                .op(self.pc)
+                .expect("a local run stays inside the program");
+            usage.record(self.id, op.class);
+            self.exec_local(op.inst, op.skip_to as usize);
+            *cycles += op.cycles;
+            *energy += op.energy;
+        }
     }
 
     /// Vector execution with per-lane fault-hook retirement.

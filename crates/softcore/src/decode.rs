@@ -10,14 +10,17 @@
 //! * superinstruction marks fusing common adjacent pairs
 //!   (`MovImm`+`IntOp`, `IntOp`+`IntOp`, and the compare-and-branch
 //!   analogue `IntOp`+`LoopEnd`) for the single-live-core execution
-//!   phase.
+//!   phase;
+//! * core-local marks on the ops that touch no memory, call no hook and
+//!   cannot halt, whose steps the contended phase banks instead of
+//!   dispatching (see [`crate::machine::Machine::run`]).
 //!
 //! The decoded form keeps a strict 1:1 pc mapping with the source
 //! program — fusion is a per-pc mark consulted at dispatch, not a
 //! rewrite — so control transfers (loop back-edges, zero-count skips,
 //! lock spins) land on exactly the same pcs as undecoded execution.
 
-use crate::cpu::StepCost;
+use crate::cpu::{local_next_pc, LoopStack, StepCost};
 use crate::inst::{Inst, InstClass, IntOpKind};
 use crate::program::Program;
 use sdc_model::DataType;
@@ -33,6 +36,35 @@ pub(crate) struct DecodedOp {
     /// For `LoopStart`: the pc after the matching `LoopEnd` (taken when
     /// the trip count is zero). Unused for every other instruction.
     pub(crate) skip_to: u32,
+    /// Core-local: the op touches no memory, calls no hook and cannot
+    /// halt, so its step commutes with every other core's step and no
+    /// hook ever sees it (see [`is_core_local`]).
+    pub(crate) local: bool,
+    /// For a `LoopEnd` whose body is core-local and holds no nested loop:
+    /// the body's length, which lets [`DecodedProgram::local_run`] measure
+    /// the loop's remaining iterations without walking them. `NO_FLAT_BODY`
+    /// otherwise.
+    pub(crate) flat_body: u32,
+}
+
+const NO_FLAT_BODY: u32 = u32::MAX;
+
+/// The core-local instructions: register moves, immediate adds, the
+/// compare, `Pause`, and loop control. `IntOp` is not among them — it
+/// retires through the fault hook, and a profiling hook's reservoir
+/// depends on the global retire order.
+fn is_core_local(inst: &Inst) -> bool {
+    matches!(
+        inst,
+        Inst::MovImm { .. }
+            | Inst::Mov { .. }
+            | Inst::AddImm { .. }
+            | Inst::FMovImm { .. }
+            | Inst::CmpNe { .. }
+            | Inst::Pause
+            | Inst::LoopStart { .. }
+            | Inst::LoopEnd
+    )
 }
 
 /// A predecoded `IntOp` with its datatype mask and shift width resolved.
@@ -101,7 +133,7 @@ impl DecodedProgram {
     /// Decodes a program. Pure: depends only on the instruction stream.
     pub fn decode(program: &Program) -> Self {
         let insts = program.insts();
-        let ops = insts
+        let mut ops = insts
             .iter()
             .enumerate()
             .map(|(pc, &inst)| {
@@ -116,9 +148,23 @@ impl DecodedProgram {
                     cycles: class.cycles(),
                     energy: class.energy(),
                     skip_to,
+                    local: is_core_local(&inst),
+                    flat_body: NO_FLAT_BODY,
                 }
             })
             .collect::<Vec<_>>();
+        for (start, inst) in insts.iter().enumerate() {
+            if let Inst::LoopStart { .. } = inst {
+                let end = program.loop_end_of(start);
+                let body = &insts[start + 1..end];
+                if body
+                    .iter()
+                    .all(|i| is_core_local(i) && !matches!(i, Inst::LoopStart { .. }))
+                {
+                    ops[end].flat_body = body.len() as u32;
+                }
+            }
+        }
 
         let mut fuse_idx = vec![NO_FUSE; insts.len()];
         let mut fused = Vec::new();
@@ -177,6 +223,41 @@ impl DecodedProgram {
             Some(&i) if i != NO_FUSE => Some(&self.fused[i as usize]),
             _ => None,
         }
+    }
+
+    /// Length of the run of core-local ops a core at `pc` with loop
+    /// counters `loops` executes next, capped at `cap`.
+    ///
+    /// A dry walk: core-local control flow depends only on the pc and the
+    /// loop counters, so the walk advances `pc` and `loops` (a scratch
+    /// copy of the core's, which it clobbers) and executes nothing. At the
+    /// `LoopEnd` of a flat core-local loop it counts the remaining
+    /// iterations at once. The run ends before the first op that is not
+    /// core-local, past the program end, or at a `LoopEnd` with no open
+    /// loop.
+    pub(crate) fn local_run(&self, mut pc: usize, loops: &mut LoopStack, cap: u64) -> u64 {
+        let mut len = 0;
+        while len < cap {
+            let Some(op) = self.ops.get(pc).filter(|op| op.local) else {
+                break;
+            };
+            if op.flat_body != NO_FLAT_BODY {
+                let Some((_, left)) = loops.pop() else {
+                    break;
+                };
+                // This `LoopEnd`, then `left - 1` more body passes, each
+                // closed by the `LoopEnd` again.
+                len += 1 + u64::from(left - 1) * (u64::from(op.flat_body) + 1);
+                pc += 1;
+                continue;
+            }
+            let Some(next) = local_next_pc(op.inst, pc, op.skip_to as usize, loops) else {
+                break;
+            };
+            pc = next;
+            len += 1;
+        }
+        len.min(cap)
     }
 
     /// Number of predecoded instructions (same as the program length).
@@ -242,6 +323,51 @@ mod tests {
         assert!(d.fused_at(1).is_some(), "IntOp+IntOp fuses");
         assert!(d.fused_at(2).is_none(), "IntOp+FMovImm does not fuse");
         assert_eq!(d.fused_pairs(), 2);
+    }
+
+    /// `local_run` must count exactly the core-local steps a core takes
+    /// before its next other op, from every pc a real run visits (mid
+    /// flat loop, at nested loop ends, across an enclosing `LoopEnd`),
+    /// and stop at the cap.
+    #[test]
+    fn local_run_matches_stepping() {
+        use crate::cpu::Core;
+        use crate::hooks::NoFaults;
+        use crate::mem::MemSystem;
+        use crate::usage::UsageCounters;
+
+        let mut b = ProgramBuilder::new();
+        b.mov_imm(1, 64).loop_start(3);
+        b.loop_start(0).store(1, 1, 0).loop_end();
+        b.loop_start(5).pause().add_imm(2, 2, 1).loop_end();
+        b.loop_start(2);
+        b.loop_start(2).mov(3, 2).loop_end();
+        b.cmp_ne(4, 3, 2);
+        b.loop_end();
+        b.store(2, 1, 0);
+        b.fmov_imm(0, 1.0).loop_end();
+        b.loop_start(7).pause().loop_end();
+        let prog = b.build();
+        let d = DecodedProgram::decode(&prog);
+        let mut core = Core::new(0);
+        let mut mem = MemSystem::new(1, 4096);
+        let mut usage = UsageCounters::new(1);
+        let mut trace = Vec::new();
+        while !core.halted() {
+            trace.push((
+                core.pc,
+                core.loop_stack.clone(),
+                d.op(core.pc).is_some_and(|o| o.local),
+            ));
+            core.step_decoded(&d, &mut mem, &mut NoFaults, &mut usage, &mut Vec::new());
+        }
+        for (i, (pc, loops, _)) in trace.iter().enumerate() {
+            let expect = trace[i..].iter().take_while(|t| t.2).count() as u64;
+            for cap in [1, 3, u64::MAX] {
+                let got = d.local_run(*pc, &mut loops.clone(), cap);
+                assert_eq!(got, expect.min(cap), "step {i} pc {pc} cap {cap}");
+            }
+        }
     }
 
     #[test]

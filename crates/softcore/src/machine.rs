@@ -40,6 +40,23 @@ pub struct RunOutcome {
     pub cycles: u64,
 }
 
+/// Scheduling picks drawn per batch in the contended phase.
+const PICK_BATCH: usize = 256;
+
+/// Longest local run one dry walk measures. A longer run (an unbounded
+/// `Pause` loop, say) is banked in pieces, so a walk never outruns the
+/// picks that consume it by much.
+const MAX_LOCAL_RUN: u64 = 4096;
+
+/// A core's banked local steps in the contended phase.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bank {
+    /// Picks taken and not yet executed.
+    banked: u64,
+    /// Further picks the current local run absorbs.
+    left: u64,
+}
+
 /// A multi-core machine executing one program per core.
 #[derive(Debug)]
 pub struct Machine {
@@ -101,20 +118,29 @@ impl Machine {
     /// under `rng`). Flushes caches on completion so raw memory reads see
     /// final state.
     ///
-    /// Execution uses the predecoded fast path and is bit-identical to
-    /// [`Machine::run_reference`] in every observable product: hook call
-    /// sequence, corruption events, usage counters, cycles, energy,
-    /// memory, and the returned outcome. The only non-contractual
-    /// difference is the `rng` stream position afterwards — with a single
-    /// live core the schedule is forced, so the fast path consumes no
-    /// interleave draws (forks are seed-derived and unaffected).
+    /// Execution is bit-identical to [`Machine::run_reference`] in every
+    /// observable product: hook call sequence, corruption events, usage
+    /// counters, cycles, energy, memory, registers, transaction stats, and
+    /// the returned outcome. It runs in two phases:
+    ///
+    /// * while more than one core is live, every step draws the same
+    ///   scheduling pick the reference draws, but picks come in batches
+    ///   ([`DetRng::fill_below`]) and steps of core-local ops (no memory,
+    ///   no hook, no halt) are banked per core and executed straight-line
+    ///   later, which no other core and no hook can observe;
+    /// * once one core is left, the schedule is forced: no draws, and
+    ///   fused pairs execute straight-line.
+    ///
+    /// Afterwards `rng` stands where one draw per contended step leaves
+    /// it; the single-core phase draws nothing, unlike the reference. That
+    /// stream position is not part of the contract (forks are
+    /// seed-derived and unaffected).
     pub fn run<H: FaultHook + ?Sized>(
         &mut self,
         hook: &mut H,
         rng: &mut DetRng,
         max_steps: u64,
     ) -> RunOutcome {
-        let mut steps = 0u64;
         let mut live: Vec<usize> = (0..self.cores.len())
             .filter(|&i| self.programs[i].is_some())
             .collect();
@@ -126,29 +152,9 @@ impl Machine {
             };
         }
         live.retain(|&i| !self.cores[i].halted());
+        let mut steps = self.run_contended(hook, rng, &mut live, max_steps);
 
-        // Contended phase: more than one live core, so each step draws a
-        // scheduling pick exactly as the reference interpreter does.
-        while live.len() > 1 && steps < max_steps {
-            let pick = rng.below(live.len() as u64) as usize;
-            let core_idx = live[pick];
-            let prog = self.decoded[core_idx].as_ref().expect("loaded");
-            let cost = self.cores[core_idx].step_decoded(
-                prog,
-                &mut self.mem,
-                hook,
-                &mut self.usage,
-                &mut self.events,
-            );
-            self.cycles[core_idx] += cost.cycles;
-            self.energy[core_idx] += cost.energy;
-            steps += 1;
-            if self.cores[core_idx].halted() {
-                live.swap_remove(pick);
-            }
-        }
-
-        // Single-live-core phase (the whole run for golden/profiling
+        // Single-live-core phase (the whole run for single-threaded
         // workloads): the schedule is forced, so no draws, and fused
         // pairs execute straight-line when the step budget allows both
         // micro-ops. Costs accumulate per micro-op in original order —
@@ -189,6 +195,102 @@ impl Machine {
             steps,
             cycles: self.cycles.iter().copied().max().unwrap_or(0),
         }
+    }
+
+    /// The contended phase of [`Machine::run`]: runs while more than one
+    /// core in `live` is live and fewer than `max_steps` steps have run;
+    /// returns the steps taken. On return every step is executed and `rng`
+    /// stands where one `below(live.len())` per step leaves it.
+    ///
+    /// Each step draws the pick the reference draws, from a batch that
+    /// [`DetRng::fill_below`] generates ahead. A halt changes the live
+    /// count, so the stream is restored to the batch's start and only the
+    /// picks consumed so far are regenerated.
+    ///
+    /// A picked core whose next op is core-local (see
+    /// [`DecodedProgram::local_run`]) has its local run measured by a dry
+    /// walk, and its next picks up to the run's length only count into a
+    /// per-core bank. The banked steps execute straight-line when the core
+    /// is picked again after the run, and for every core when the phase
+    /// ends. Local steps touch only their own core's registers, pc, loop
+    /// counters, usage, cycles and energy, and no hook sees them, so
+    /// deferring them commutes with every other core's steps; and the
+    /// bank holds exactly the picks taken, so a budget that cuts a run
+    /// short executes the same prefix the reference does.
+    fn run_contended<H: FaultHook + ?Sized>(
+        &mut self,
+        hook: &mut H,
+        rng: &mut DetRng,
+        live: &mut Vec<usize>,
+        max_steps: u64,
+    ) -> u64 {
+        if live.len() < 2 {
+            return 0;
+        }
+        let mut steps = 0u64;
+        let mut banks = vec![Bank::default(); self.cores.len()];
+        let mut picks = [0u64; PICK_BATCH];
+        let mut loops = Vec::new();
+        'batches: while live.len() > 1 && steps < max_steps {
+            let n = live.len() as u64;
+            let batch = (max_steps - steps).min(PICK_BATCH as u64) as usize;
+            let batch_start = rng.clone();
+            rng.fill_below(n, &mut picks[..batch]);
+            for taken in 0..batch {
+                let pick = picks[taken];
+                steps += 1;
+                let core_idx = live[pick as usize];
+                let bank = &mut banks[core_idx];
+                if bank.left > 0 {
+                    bank.left -= 1;
+                    bank.banked += 1;
+                    continue;
+                }
+                if bank.banked > 0 {
+                    self.exec_banked(core_idx, std::mem::take(&mut bank.banked));
+                }
+                let prog = self.decoded[core_idx].as_ref().expect("loaded");
+                let core = &mut self.cores[core_idx];
+                loops.clone_from(&core.loop_stack);
+                let run = prog.local_run(core.pc, &mut loops, MAX_LOCAL_RUN);
+                if run > 0 {
+                    bank.left = run - 1;
+                    bank.banked = 1;
+                    continue;
+                }
+                let cost =
+                    core.step_decoded(prog, &mut self.mem, hook, &mut self.usage, &mut self.events);
+                self.cycles[core_idx] += cost.cycles;
+                self.energy[core_idx] += cost.energy;
+                if core.halted() {
+                    live.swap_remove(pick as usize);
+                    let used = taken + 1;
+                    if used < batch {
+                        *rng = batch_start;
+                        rng.fill_below(n, &mut picks[..used]);
+                    }
+                    continue 'batches;
+                }
+            }
+        }
+        for (core_idx, bank) in banks.iter().enumerate() {
+            if bank.banked > 0 {
+                self.exec_banked(core_idx, bank.banked);
+            }
+        }
+        steps
+    }
+
+    /// Executes `n` banked local steps of core `core_idx` straight-line.
+    fn exec_banked(&mut self, core_idx: usize, n: u64) {
+        let prog = self.decoded[core_idx].as_ref().expect("loaded");
+        self.cores[core_idx].exec_local_run(
+            prog,
+            n,
+            &mut self.usage,
+            &mut self.cycles[core_idx],
+            &mut self.energy[core_idx],
+        );
     }
 
     /// The seed interpreter loop, kept verbatim: un-predecoded dispatch
@@ -435,6 +537,35 @@ mod tests {
             fresh.core(0).regs.int(3),
             "registers match after restart"
         );
+    }
+
+    /// While more than one core stays live, the contended loop leaves the
+    /// interleave stream exactly where the reference's one draw per step
+    /// does, also after a halt inside a pick batch.
+    #[test]
+    fn contended_draws_match_reference_stream_position() {
+        use rand::RngCore as _;
+
+        let build = || {
+            let mut m = Machine::new(3, 1 << 16);
+            m.load(0, counter_program(0, 64, 2)); // halts early
+            for c in 1..3 {
+                m.load(c, counter_program(0, 64, 1_000));
+            }
+            m
+        };
+        for budget in [100u64, 256, 1_000, 5_000] {
+            let mut fast_rng = DetRng::new(11);
+            let out = build().run(&mut NoFaults, &mut fast_rng, budget);
+            let mut ref_rng = DetRng::new(11);
+            let mut reference = build();
+            assert_eq!(out, reference.run_reference(&mut NoFaults, &mut ref_rng, budget));
+            assert_eq!(out.steps, budget, "two cores stay live");
+            assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "budget {budget}");
+            if budget == 5_000 {
+                assert!(reference.core(0).halted(), "core 0 halted mid-run");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Fast-path equivalence: the optimized interpreter — predecoded
-//! programs, fused instruction pairs, the single-live-core loop, and
-//! monomorphized fault hooks — must emit bits identical to the
+//! programs, fused instruction pairs, the single-live-core loop, batched
+//! scheduling picks and banked core-local steps in the contended loop,
+//! and monomorphized fault hooks — must emit bits identical to the
 //! seed-faithful reference interpreter ([`Machine::run_reference`])
-//! under every hook, across seeds and core counts. A `dyn`-dispatched
-//! hook must also match its monomorphized form exactly.
+//! under every hook, across seeds, core counts and step budgets. A
+//! `dyn`-dispatched hook must also match its monomorphized form exactly.
 
 use conformance::metamorphic::assert_transparent;
 use sdc_model::{ArchId, CpuId, DataType, DetRng};
 use silicon::{BitPattern, Defect, DefectKind, DefectScope, Injector, Processor, Trigger};
+use softcore::mem::MemStats;
+use softcore::regs::{NUM_FLOAT_REGS, NUM_INT_REGS, NUM_VEC_REGS, NUM_X87_REGS};
 use softcore::{
     FaultHook, InstClass, IntOpKind, LaneType, Machine, NoFaults, Precision, Program,
     ProgramBuilder, VOpKind,
@@ -26,6 +29,26 @@ struct Fingerprint {
     energy_bits: Vec<u64>,
     tx: Vec<(u64, u64)>,
     mem_words: Vec<u64>,
+    mem_stats: MemStats,
+    regs: Vec<u64>,
+}
+
+/// Every architectural register of every core, as bits.
+fn register_bits(m: &Machine) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for c in 0..m.num_cores() {
+        let r = &m.core(c).regs;
+        bits.extend((0..NUM_INT_REGS as u8).map(|i| r.int(i)));
+        bits.extend((0..NUM_FLOAT_REGS as u8).map(|i| r.float(i).to_bits()));
+        for i in 0..NUM_X87_REGS as u8 {
+            let x = r.x87(i).encode();
+            bits.extend([x as u64, (x >> 64) as u64]);
+        }
+        for i in 0..NUM_VEC_REGS as u8 {
+            bits.extend(r.vec(i));
+        }
+    }
+    bits
 }
 
 fn fingerprint(m: &Machine, out: softcore::RunOutcome) -> Fingerprint {
@@ -42,7 +65,11 @@ fn fingerprint(m: &Machine, out: softcore::RunOutcome) -> Fingerprint {
         cycles: m.cycles.clone(),
         energy_bits: m.energy.iter().map(|e| e.to_bits()).collect(),
         tx: (0..m.num_cores()).map(|c| m.core(c).tx_stats()).collect(),
-        mem_words: (0..64).map(|i| m.mem.raw_read_u64(i * 8)).collect(),
+        mem_words: (0..m.mem.size_bytes() / 8)
+            .map(|i| m.mem.raw_read_u64(i * 8))
+            .collect(),
+        mem_stats: m.mem.stats,
+        regs: register_bits(m),
     }
 }
 
@@ -119,31 +146,37 @@ fn defective_processor() -> Processor {
 }
 
 /// Builds a machine, runs it under the named interpreter variant with
-/// the given hook factory, and fingerprints the result. Fresh
-/// identically-seeded RNGs per variant: the interleave stream position
-/// after a run is not part of the machine contract.
+/// the given hook for at most `budget` steps, and fingerprints the
+/// result. Fresh identically-seeded RNGs per variant: the interleave
+/// stream position after a run is not part of the machine contract.
 fn run_variant<H: FaultHook>(
     variant: &str,
     cores: usize,
     seed: u64,
     programs: &[Program],
     hook: &mut H,
+    budget: u64,
 ) -> Fingerprint {
+    let mut m = loaded_machine(cores, programs);
+    let mut interleave = DetRng::new(seed);
+    let out = match variant {
+        "fast" => m.run(hook, &mut interleave, budget),
+        "dyn" => {
+            let dyn_hook: &mut dyn FaultHook = hook;
+            m.run(dyn_hook, &mut interleave, budget)
+        }
+        "reference" => m.run_reference(hook, &mut interleave, budget),
+        other => panic!("unknown variant {other}"),
+    };
+    fingerprint(&m, out)
+}
+
+fn loaded_machine(cores: usize, programs: &[Program]) -> Machine {
     let mut m = Machine::new(cores, 1 << 14);
     for (c, p) in programs.iter().enumerate() {
         m.load(c, p.clone());
     }
-    let mut interleave = DetRng::new(seed);
-    let out = match variant {
-        "fast" => m.run(hook, &mut interleave, u64::MAX),
-        "dyn" => {
-            let dyn_hook: &mut dyn FaultHook = hook;
-            m.run(dyn_hook, &mut interleave, u64::MAX)
-        }
-        "reference" => m.run_reference(hook, &mut interleave, u64::MAX),
-        other => panic!("unknown variant {other}"),
-    };
-    fingerprint(&m, out)
+    m
 }
 
 const VARIANTS: [&str; 3] = ["fast", "dyn", "reference"];
@@ -152,13 +185,10 @@ const VARIANTS: [&str; 3] = ["fast", "dyn", "reference"];
 fn golden_runs_identical_across_interpreters() {
     for cores in [1usize, 2, 4] {
         for seed in [1u64, 7, 42] {
-            let programs: Vec<Program> =
-                (0..cores).map(|c| mixed_program(c, 300)).collect();
-            assert_transparent(
-                &format!("golden c{cores} s{seed}"),
-                &VARIANTS,
-                |variant| run_variant(variant, cores, seed, &programs, &mut NoFaults),
-            );
+            let programs: Vec<Program> = (0..cores).map(|c| mixed_program(c, 300)).collect();
+            assert_transparent(&format!("golden c{cores} s{seed}"), &VARIANTS, |variant| {
+                run_variant(variant, cores, seed, &programs, &mut NoFaults, u64::MAX)
+            });
         }
     }
 }
@@ -168,8 +198,7 @@ fn injected_runs_identical_across_interpreters() {
     let proc_ = defective_processor();
     for cores in [1usize, 2, 4] {
         for seed in [3u64, 11] {
-            let programs: Vec<Program> =
-                (0..cores).map(|c| mixed_program(c, 300)).collect();
+            let programs: Vec<Program> = (0..cores).map(|c| mixed_program(c, 300)).collect();
             let core_map: Vec<u16> = (0..cores as u16).collect();
             assert_transparent(
                 &format!("injected c{cores} s{seed}"),
@@ -179,7 +208,7 @@ fn injected_runs_identical_across_interpreters() {
                     let mut injector =
                         Injector::new(&proc_, core_map.clone(), 45.0, DetRng::new(seed ^ 0x1f));
                     injector.set_temps(&vec![62.0; cores]);
-                    run_variant(variant, cores, seed, &programs, &mut injector)
+                    run_variant(variant, cores, seed, &programs, &mut injector, u64::MAX)
                 },
             );
         }
@@ -190,21 +219,17 @@ fn injected_runs_identical_across_interpreters() {
 fn profiled_runs_identical_across_interpreters() {
     for cores in [1usize, 2] {
         let programs: Vec<Program> = (0..cores).map(|c| mixed_program(c, 300)).collect();
-        assert_transparent(
-            &format!("profiled c{cores}"),
-            &VARIANTS,
-            |variant| {
-                let mut profiler = Profiler::new(DetRng::new(0x9821));
-                let fp = run_variant(variant, cores, 5, &programs, &mut profiler);
-                let counts: Vec<_> = profiler.counts().collect();
-                let samples: Vec<_> = profiler
-                    .site_kinds()
-                    .into_iter()
-                    .map(|(class, dt)| profiler.samples(class, dt).to_vec())
-                    .collect();
-                (fp, counts, samples)
-            },
-        );
+        assert_transparent(&format!("profiled c{cores}"), &VARIANTS, |variant| {
+            let mut profiler = Profiler::new(DetRng::new(0x9821));
+            let fp = run_variant(variant, cores, 5, &programs, &mut profiler, u64::MAX);
+            let counts: Vec<_> = profiler.counts().collect();
+            let samples: Vec<_> = profiler
+                .site_kinds()
+                .into_iter()
+                .map(|(class, dt)| profiler.samples(class, dt).to_vec())
+                .collect();
+            (fp, counts, samples)
+        });
     }
 }
 
@@ -218,7 +243,235 @@ fn single_core_hot_loop_identical_and_fused() {
     );
     for seed in [1u64, 9, 1234] {
         assert_transparent(&format!("hot loop s{seed}"), &VARIANTS, |variant| {
-            run_variant(variant, 1, seed, std::slice::from_ref(&program), &mut NoFaults)
+            run_variant(
+                variant,
+                1,
+                seed,
+                std::slice::from_ref(&program),
+                &mut NoFaults,
+                u64::MAX,
+            )
         });
+    }
+}
+
+/// The surrounding-code filler the toolchain injects at the top of a
+/// workload's outermost loop: a counted `Pause` loop, all core-local.
+fn filler(b: &mut ProgramBuilder, iters: u32) {
+    b.loop_start(iters);
+    b.pause();
+    b.loop_end();
+}
+
+/// A filler-diluted lock counter (the shape of the toolchain's diluted
+/// `LockCounter` testcases): long core-local runs between short critical
+/// sections on a shared lock and counter.
+fn diluted_lock_counter(rounds: u32, dilution: u32) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.mov_imm(0, 0).mov_imm(1, 64).mov_imm(2, 1);
+    b.loop_start(rounds);
+    filler(&mut b, dilution);
+    b.lock_acquire(0);
+    b.load(3, 1, 0);
+    b.int_op(IntOpKind::Add, DataType::Bin64, 3, 3, 2);
+    b.store(3, 1, 0);
+    b.lock_release(0);
+    b.loop_end();
+    b.build()
+}
+
+/// A filler-diluted transactional counter with a per-core success tally.
+fn diluted_tx_counter(core: usize, rounds: u32, dilution: u32) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.mov_imm(0, 128).mov_imm(1, 1).mov_imm(4, 0);
+    b.mov_imm(5, 1024 + 8 * core as u64);
+    b.loop_start(rounds);
+    filler(&mut b, dilution);
+    b.tx_begin();
+    b.load(2, 0, 0);
+    b.int_op(IntOpKind::Add, DataType::Bin64, 2, 2, 1);
+    b.store(2, 0, 0);
+    b.tx_commit(3);
+    b.int_op(IntOpKind::Add, DataType::Bin64, 4, 4, 3);
+    b.loop_end();
+    b.store(4, 5, 0);
+    b.build()
+}
+
+/// Every core-local op: register moves, an immediate add, a compare and
+/// a float move, a zero-count loop, a flat core-local inner loop, and a
+/// core-local tail that runs across the enclosing loop's `LoopEnd` (back
+/// to its top, and out of it after the last round).
+fn local_mix(core: usize, rounds: u32) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.mov_imm(1, 2048 + 8 * core as u64).mov_imm(2, 3);
+    b.loop_start(rounds);
+    b.loop_start(0);
+    b.store(2, 1, 0); // skipped
+    b.loop_end();
+    b.mov_imm(4, core as u64).mov(5, 4).add_imm(5, 5, 3);
+    b.fmov_imm(2, 1.5 + core as f64).cmp_ne(6, 5, 4);
+    b.loop_start(3 + core as u32 % 4);
+    b.add_imm(7, 7, 1);
+    b.pause();
+    b.loop_end();
+    b.int_op(IntOpKind::Add, DataType::I32, 9, 9, 7);
+    b.store(9, 1, 0);
+    b.add_imm(8, 8, 1).mov(10, 8).cmp_ne(11, 10, 5);
+    b.loop_end();
+    b.add_imm(12, 8, 5).mov(13, 12).fmov_imm(3, 2.5);
+    b.build()
+}
+
+/// The per-core programs of the banked-step workloads at `cores` cores:
+/// lock and transaction groups diluted like the toolchain's consistency
+/// testcases, and the core-local mix, interleaved across cores.
+fn banked_workload(cores: usize) -> Vec<Program> {
+    (0..cores)
+        .map(|c| match c % 3 {
+            0 => diluted_lock_counter(4, 8 + c as u32),
+            1 => diluted_tx_counter(c, 3, 16),
+            _ => local_mix(c, 5),
+        })
+        .collect()
+}
+
+/// Smallest step budget after which some core has halted under the
+/// reference interpreter (bisection: halting is monotone in the budget,
+/// since a shorter run is a prefix of a longer one).
+fn first_halt<H: FaultHook>(
+    cores: usize,
+    seed: u64,
+    programs: &[Program],
+    make_hook: &impl Fn() -> H,
+) -> u64 {
+    let halted_after = |budget: u64| {
+        let mut m = loaded_machine(cores, programs);
+        let out = m.run_reference(&mut make_hook(), &mut DetRng::new(seed), budget);
+        ((0..cores).any(|c| m.core(c).halted()), out.steps)
+    };
+    let (halted, total) = halted_after(u64::MAX);
+    assert!(halted);
+    let (mut lo, mut hi) = (0u64, total);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if halted_after(mid).0 {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// Step budgets that cut the contended phase everywhere the banked path
+/// has a seam: inside the first pick batch while most cores sit in a
+/// filler run (37, 300), at and one past a batch boundary (256, 257), on
+/// the step that halts the first core and just after it (the pick batch
+/// is regenerated there), one batch past that halt, and unbounded.
+fn budgets(halt: u64) -> Vec<u64> {
+    vec![37, 256, 257, 300, halt, halt + 1, halt + 256, u64::MAX]
+}
+
+/// Asserts all three variants agree at every budget, for a hook built by
+/// `make_hook` and summarized by `observe`.
+fn assert_banked_transparent<H, T>(
+    label: &str,
+    seed: u64,
+    make_hook: impl Fn() -> H,
+    observe: impl Fn(&H) -> T,
+) where
+    H: FaultHook,
+    T: PartialEq + std::fmt::Debug,
+{
+    for cores in [2usize, 8, 64] {
+        let programs = banked_workload(cores);
+        let halt = first_halt(cores, seed, &programs, &make_hook);
+        for budget in budgets(halt) {
+            assert_transparent(
+                &format!("{label} c{cores} budget {budget}"),
+                &VARIANTS,
+                |variant| {
+                    let mut hook = make_hook();
+                    let fp = run_variant(variant, cores, seed, &programs, &mut hook, budget);
+                    (fp, observe(&hook))
+                },
+            );
+        }
+    }
+}
+
+#[test]
+fn banked_golden_runs_identical_across_interpreters() {
+    for seed in [2u64, 19] {
+        assert_banked_transparent("banked golden", seed, || NoFaults, |_| ());
+    }
+}
+
+#[test]
+fn banked_profiled_runs_identical_across_interpreters() {
+    assert_banked_transparent(
+        "banked profiled",
+        5,
+        || Profiler::new(DetRng::new(0x9821)),
+        |profiler| {
+            let counts: Vec<_> = profiler.counts().collect();
+            let samples: Vec<_> = profiler
+                .site_kinds()
+                .into_iter()
+                .map(|(class, dt)| profiler.samples(class, dt).to_vec())
+                .collect();
+            (counts, samples)
+        },
+    );
+}
+
+#[test]
+fn banked_injected_runs_identical_across_interpreters() {
+    // The shared defective processor with a computation rate high enough
+    // to fire on the few ALU retires of these filler-heavy programs.
+    let mut proc_ = defective_processor();
+    proc_.defects[0].trigger = Trigger::flat(0.3);
+    for seed in [3u64, 11] {
+        let make_injector = || {
+            // Machine cores map onto the processor's 8 physical cores, so
+            // the coherence-dropping core 1 recurs at every core count.
+            let core_map: Vec<u16> = (0..64).map(|c| c % 8).collect();
+            let mut injector = Injector::new(&proc_, core_map, 45.0, DetRng::new(seed ^ 0x1f));
+            injector.set_temps(&[62.0; 64]);
+            injector
+        };
+        let fp = run_variant(
+            "reference",
+            64,
+            seed,
+            &banked_workload(64),
+            &mut make_injector(),
+            u64::MAX,
+        );
+        assert!(
+            fp.mem_stats.dropped_invalidations > 0 && !fp.events.is_empty(),
+            "the injector must drop invalidations and corrupt results"
+        );
+        assert_banked_transparent("banked injected", seed, make_injector, |_| ());
+    }
+}
+
+#[test]
+fn capped_local_runs_identical_across_interpreters() {
+    // Filler runs of 9001 steps, longer than one dry walk measures, so
+    // the contended phase banks each run in pieces that start mid-loop.
+    let programs = vec![diluted_lock_counter(2, 4500); 2];
+    let halt = first_halt(2, 4, &programs, &|| NoFaults);
+    for budget in [5_000, 9_000, 9_001, halt, halt + 1, u64::MAX] {
+        assert_transparent(
+            &format!("capped runs budget {budget}"),
+            &VARIANTS,
+            |variant| {
+                let mut profiler = Profiler::new(DetRng::new(0x9821));
+                let fp = run_variant(variant, 2, 4, &programs, &mut profiler, budget);
+                (fp, profiler.counts().collect::<Vec<_>>())
+            },
+        );
     }
 }
