@@ -13,6 +13,8 @@ use sdc_model::{DetRng, Duration, SdcRecord, SettingId, TestcaseId};
 use silicon::catalog::{self, CaseStudy};
 use silicon::defect::DefectKind;
 use silicon::Processor;
+use std::cmp::Reverse;
+use std::collections::HashSet;
 use std::sync::Arc;
 use toolchain::{ExecConfig, Executor, ProfileCache, Suite};
 
@@ -28,8 +30,10 @@ pub struct StudyConfig {
     pub max_candidates: Option<usize>,
     /// Executor configuration (burn-in, temperature hold, clock).
     pub exec: ExecConfig,
-    /// Worker threads across case studies (`0` = available parallelism).
-    /// Each case's randomness is forked from its processor id, so results
+    /// Worker threads (`0` = available parallelism). The study shards its
+    /// unit profiling by profile key, then its cases by case (see
+    /// [`run_deep_study_with`]). Each case's randomness is forked from its
+    /// processor id and unit profiles are pure in their key, so results
     /// are identical for every value.
     pub threads: usize,
 }
@@ -118,6 +122,27 @@ fn is_candidate(
     })
 }
 
+/// The candidate testcases of `processor`: every testcase its static
+/// profiles say a defect could act on, in suite order, capped at
+/// `cfg.max_candidates`.
+fn candidates(
+    processor: &Processor,
+    suite: &Suite,
+    profiles: &StaticSuiteProfile,
+    cfg: &StudyConfig,
+) -> Vec<TestcaseId> {
+    let mut candidates: Vec<TestcaseId> = suite
+        .testcases()
+        .iter()
+        .map(|t| t.id)
+        .filter(|&id| is_candidate(processor, profiles, suite, id))
+        .collect();
+    if let Some(cap) = cfg.max_candidates {
+        candidates.truncate(cap);
+    }
+    candidates
+}
+
 /// Studies one processor.
 pub fn run_case(
     case: &CaseStudy,
@@ -139,21 +164,23 @@ pub fn run_case_cached(
     cfg: &StudyConfig,
     cache: Option<Arc<ProfileCache>>,
 ) -> CaseData {
+    let tested = candidates(&case.processor, suite, profiles, cfg);
+    run_candidates(case, suite, tested, cfg, cache)
+}
+
+/// Runs every testcase of `candidates` on `case`'s processor, in order.
+fn run_candidates(
+    case: &CaseStudy,
+    suite: &Suite,
+    candidates: Vec<TestcaseId>,
+    cfg: &StudyConfig,
+    cache: Option<Arc<ProfileCache>>,
+) -> CaseData {
     let processor = &case.processor;
     let cores: Vec<u16> = (0..processor.physical_cores).collect();
     let mut executor = Executor::new(processor, cfg.exec);
     executor.set_cache(cache);
     let mut rng = DetRng::new(cfg.seed).fork(processor.id.0);
-
-    let mut candidates: Vec<TestcaseId> = suite
-        .testcases()
-        .iter()
-        .map(|t| t.id)
-        .filter(|&id| is_candidate(processor, profiles, suite, id))
-        .collect();
-    if let Some(cap) = cfg.max_candidates {
-        candidates.truncate(cap);
-    }
 
     let mut failing = Vec::new();
     let mut records = Vec::new();
@@ -188,10 +215,11 @@ pub fn run_case_cached(
 
 /// Runs the whole 27-processor study.
 ///
-/// Cases are sharded across `cfg.threads` workers; each case's randomness
-/// is a stream forked from its processor id and the shared caches are
-/// result-transparent, so the study is bitwise identical for every thread
-/// count.
+/// Unit profiles are sharded across `cfg.threads` workers by profile key,
+/// then cases by case (see [`run_deep_study_with`]); each case's
+/// randomness is a stream forked from its processor id and the shared
+/// caches are result-transparent, so the study is bitwise identical for
+/// every thread count.
 pub fn run_deep_study(cfg: &StudyConfig) -> StudyData {
     run_deep_study_with(cfg, &SuiteProfileCache::new(), ProfileCache::shared())
 }
@@ -202,6 +230,16 @@ pub fn run_deep_study(cfg: &StudyConfig) -> StudyData {
 /// sweeps, eval loops, benchmarks — share one suite cache and one unit
 /// cache so that cost is paid once. Both caches are result-transparent,
 /// so the study is bitwise identical with or without reuse.
+///
+/// The study runs in two sharded stages. First it builds the static
+/// suite profiles and each case's candidate list, collects the distinct
+/// (core count, testcase) unit-profile keys, and profiles them on
+/// `cfg.threads` workers, most cores first: the 64-core consistency
+/// keys are the slowest, and starting them last would leave one worker
+/// finishing them alone. Then it runs the cases, sharded by case, on the
+/// warm unit cache. A unit profile is a pure function of its key, so
+/// profiling ahead of the executor changes no result; on a fresh cache
+/// every key misses once and every executor run hits.
 pub fn run_deep_study_with(
     cfg: &StudyConfig,
     suite_cache: &SuiteProfileCache,
@@ -209,10 +247,38 @@ pub fn run_deep_study_with(
 ) -> StudyData {
     let suite = Suite::standard();
     let set = catalog::deep_study_set();
-    let cases = fleet::parallel::run_indexed(&set, cfg.threads, |_, case| {
-        let profiles =
-            suite_cache.get_or_build(&suite, case.processor.physical_cores as usize, cfg.threads);
-        run_case_cached(case, &suite, &profiles, cfg, Some(Arc::clone(&unit_cache)))
+    let tested: Vec<Vec<TestcaseId>> = set
+        .iter()
+        .map(|case| {
+            let cores = case.processor.physical_cores as usize;
+            let profiles = suite_cache.get_or_build(&suite, cores, cfg.threads);
+            candidates(&case.processor, &suite, &profiles, cfg)
+        })
+        .collect();
+
+    let mut seen = HashSet::new();
+    let mut keys: Vec<(usize, TestcaseId)> = set
+        .iter()
+        .zip(&tested)
+        .flat_map(|(case, ids)| {
+            let cores = case.processor.physical_cores as usize;
+            ids.iter().map(move |&id| (cores, id))
+        })
+        .filter(|&key| seen.insert(key))
+        .collect();
+    keys.sort_by_key(|&(cores, _)| Reverse(cores));
+    fleet::parallel::run_indexed(&keys, cfg.threads, |_, &(cores, id)| {
+        unit_cache.profile(suite.get(id), cores, &cfg.exec);
+    });
+
+    let cases = fleet::parallel::run_indexed(&set, cfg.threads, |i, case| {
+        run_candidates(
+            case,
+            &suite,
+            tested[i].clone(),
+            cfg,
+            Some(Arc::clone(&unit_cache)),
+        )
     });
     StudyData { cases }
 }

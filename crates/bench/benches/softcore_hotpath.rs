@@ -2,15 +2,18 @@
 //! predecoded fast path ([`Machine::run`]) vs the seed interpreter kept
 //! verbatim as [`Machine::run_reference`], for golden (NoFaults) and
 //! fault-injected single-core runs, and for the contended multi-core
-//! loop (a filler-diluted lock counter at 16 and 64 live cores under
-//! the toolchain's [`Profiler`], the shape that dominates unit
-//! profiling).
+//! loop (filler-diluted lock counters at 16 and 64 live cores under the
+//! toolchain's [`Profiler`], the shape that dominates unit profiling).
+//! Every leg alternates its interpreters for a fixed time and reports
+//! the fastest repetition of each, which shared-host interference can
+//! only slow down.
 //!
 //! Two modes:
 //!
-//! * default — measures all paths, writes `BENCH_softcore.json` at the
-//!   repo root (instructions/sec plus the fast-path speedups over the
-//!   seed baseline), then runs criterion benches for tracking;
+//! * default — measures all paths three times, writes the median
+//!   measurement of each leg to `BENCH_softcore.json` at the repo root
+//!   (instructions/sec plus the fast-path speedups over the seed
+//!   baseline), then runs criterion benches for tracking;
 //! * `--quick` — regression gate for tier-1: re-measures the fast paths
 //!   and the reference baseline, and fails (exit 1) if the golden or the
 //!   contended speedup regressed more than 20% against the checked-in
@@ -70,78 +73,107 @@ enum Path {
     Injected,
 }
 
-/// Instructions/sec of one interpreter path, measured by repeating the
-/// hot program on one reused machine until `budget_secs` elapses.
-fn measure_ips(path: Path, budget_secs: f64) -> f64 {
-    let program = hot_program(10_000);
-    let mut machine = Machine::new(1, 4096);
-    machine.load(0, program);
-    let proc_ = defective_processor();
-    let run_once = |machine: &mut Machine| -> u64 {
+/// One repetition of a single-core path: [`SINGLE_RUNS`] runs of the hot
+/// program on one reused machine. Returns the steps executed.
+fn single_rep(path: Path, machine: &mut Machine, proc_: &Processor) -> u64 {
+    let mut steps = 0;
+    for _ in 0..SINGLE_RUNS {
         machine.restart();
         let mut rng = DetRng::new(1);
         let out = match path {
             Path::Golden => machine.run(&mut NoFaults, &mut rng, u64::MAX),
             Path::Reference => machine.run_reference(&mut NoFaults, &mut rng, u64::MAX),
             Path::Injected => {
-                let mut injector = Injector::new(&proc_, vec![0], 45.0, DetRng::new(0x1f));
+                let mut injector = Injector::new(proc_, vec![0], 45.0, DetRng::new(0x1f));
                 injector.set_temps(&[62.0]);
                 machine.run(&mut injector, &mut rng, u64::MAX)
             }
         };
         assert!(out.completed);
-        out.steps
-    };
-    run_once(&mut machine); // warm-up, untimed
-    let mut steps = 0u64;
-    let mut reps = 0u32;
-    let t = Instant::now();
-    loop {
-        steps += run_once(&mut machine);
-        reps += 1;
-        if reps >= 3 && t.elapsed().as_secs_f64() >= budget_secs {
-            break;
-        }
+        steps += out.steps;
     }
-    steps as f64 / t.elapsed().as_secs_f64()
+    steps
 }
 
-/// The contended leg's testcase (its first variant in the standard
-/// suite): a two-thread lock counter diluted with 4×64 iterations of
-/// `Pause` filler per round, one group per core pair.
-const CONTENDED_TESTCASE: &str = "cache/lock/t2/r4/d4";
+/// Runs of the hot program per single-core repetition (about 0.3M
+/// steps, a few milliseconds on the fast path).
+const SINGLE_RUNS: usize = 10;
 
-/// Live-core counts of the contended leg.
-const CONTENDED_CORES: [usize; 2] = [16, 64];
+/// Seconds the single-core and the contended leg alternate their paths,
+/// the same in both modes: the fastest of more repetitions reads higher,
+/// so the gate must draw as many as the recorded value did. A contended
+/// reference repetition takes most of a second, so that leg runs longer
+/// to draw about five of them.
+const SINGLE_BUDGET_SECS: f64 = 1.0;
+const CONTENDED_BUDGET_SECS: f64 = 4.0;
 
-/// Seconds the contended leg alternates the two interpreters, the same in
-/// both modes: the fastest of more repetitions reads higher, so the gate
-/// must draw as many as the recorded value did.
-const CONTENDED_BUDGET_SECS: f64 = 1.0;
+/// Instructions/sec of `legs` interpreter paths, where `rep(i)` runs one
+/// repetition of path `i` and returns its steps: one untimed warm-up
+/// each, then the paths take turns until `budget_secs` elapses (at least
+/// three rounds), and each reports its fastest repetition.
+fn fastest_ips(budget_secs: f64, legs: usize, mut rep: impl FnMut(usize) -> u64) -> Vec<f64> {
+    (0..legs).for_each(|i| {
+        rep(i);
+    });
+    let mut best = vec![0.0f64; legs];
+    let mut rounds = 0u32;
+    let t = Instant::now();
+    while rounds < 3 || t.elapsed().as_secs_f64() < budget_secs {
+        for (i, best) in best.iter_mut().enumerate() {
+            let start = Instant::now();
+            let steps = rep(i);
+            *best = best.max(steps as f64 / start.elapsed().as_secs_f64());
+        }
+        rounds += 1;
+    }
+    best
+}
 
-/// The contended testcase built for `cores` cores, with the profiler's
-/// default unit iterations.
-fn contended_build(cores: usize) -> BuiltTestcase {
+/// Instructions/sec of the golden, reference and injected single-core
+/// paths, alternating.
+fn measure_single_ips() -> (f64, f64, f64) {
+    const PATHS: [Path; 3] = [Path::Golden, Path::Reference, Path::Injected];
+    let proc_ = defective_processor();
+    let mut machine = Machine::new(1, 4096);
+    machine.load(0, hot_program(10_000));
+    let ips = fastest_ips(SINGLE_BUDGET_SECS, PATHS.len(), |i| {
+        single_rep(PATHS[i], &mut machine, &proc_)
+    });
+    (ips[0], ips[1], ips[2])
+}
+
+/// The contended leg: suite testcases (their first variants) and the
+/// live-core counts each runs at. `cache/lock/t2/r4/d4` is a two-thread
+/// lock counter diluted with 4×64 iterations of `Pause` filler per
+/// round, one group per core pair; `cache/lock/t4/r8/d64` at 64 cores,
+/// with 64×64-iteration fillers, is the study's heaviest unit profile
+/// and the shape the banked filler's closed form runs.
+const CONTENDED: [(&str, usize); 3] = [
+    ("cache/lock/t2/r4/d4", 16),
+    ("cache/lock/t2/r4/d4", 64),
+    ("cache/lock/t4/r8/d64", 64),
+];
+
+/// `testcase` built for `cores` cores, with the profiler's default unit
+/// iterations.
+fn contended_build(testcase: &str, cores: usize) -> BuiltTestcase {
     let suite = Suite::standard();
     let tc = suite
         .testcases()
         .iter()
-        .find(|t| t.name.split('#').next() == Some(CONTENDED_TESTCASE))
+        .find(|t| t.name.split('#').next() == Some(testcase))
         .expect("contended testcase is in the standard suite");
     builders::build(tc, cores, 4, 0xc0de)
 }
 
 /// Instructions/sec of the fast and of the reference interpreter on the
-/// contended leg. A repetition runs the testcase at every
-/// [`CONTENDED_CORES`] count under a fresh [`Profiler`]; repetitions of
-/// the two interpreters alternate until `budget_secs` elapses, and each
-/// reports its fastest repetition, which shared-host interference can
-/// only slow down.
-fn measure_contended_ips(budget_secs: f64) -> (f64, f64) {
-    let mut machines: Vec<(Machine, BuiltTestcase)> = CONTENDED_CORES
+/// contended leg. A repetition runs every [`CONTENDED`] entry under a
+/// fresh [`Profiler`].
+fn measure_contended_ips() -> (f64, f64) {
+    let mut machines: Vec<(Machine, BuiltTestcase)> = CONTENDED
         .iter()
-        .map(|&cores| {
-            let built = contended_build(cores);
+        .map(|&(testcase, cores)| {
+            let built = contended_build(testcase, cores);
             let mut machine = Machine::new(cores, built.mem_bytes);
             for (c, p) in built.programs.iter().enumerate() {
                 if let Some(p) = p {
@@ -151,8 +183,8 @@ fn measure_contended_ips(budget_secs: f64) -> (f64, f64) {
             (machine, built)
         })
         .collect();
-    let mut ips_of = |reference: bool| -> f64 {
-        let t = Instant::now();
+    let ips = fastest_ips(CONTENDED_BUDGET_SECS, 2, |i| {
+        let reference = i == 1;
         let mut steps = 0;
         for (machine, built) in &mut machines {
             machine.restart();
@@ -169,18 +201,9 @@ fn measure_contended_ips(budget_secs: f64) -> (f64, f64) {
             assert!(out.completed);
             steps += out.steps;
         }
-        steps as f64 / t.elapsed().as_secs_f64()
-    };
-    ips_of(false); // warm-up, untimed
-    let (mut fast, mut reference) = (0.0f64, 0.0f64);
-    let mut reps = 0u32;
-    let t = Instant::now();
-    while reps < 3 || t.elapsed().as_secs_f64() < budget_secs {
-        fast = fast.max(ips_of(false));
-        reference = reference.max(ips_of(true));
-        reps += 1;
-    }
-    (fast, reference)
+        steps
+    });
+    (ips[0], ips[1])
 }
 
 /// Reads a numeric field out of the checked-in artifact (the harness
@@ -192,11 +215,21 @@ fn artifact_field(json: &str, field: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// Of [`ARTIFACT_MEASUREMENTS`] measurements, the one whose speedup
+/// `speedup` is the median, so that neither a lucky nor an unlucky
+/// measurement sets the gate's floor.
+fn median_measurement<T>(measure: impl Fn() -> T, speedup: impl Fn(&T) -> f64) -> T {
+    let mut runs: Vec<T> = (0..ARTIFACT_MEASUREMENTS).map(|_| measure()).collect();
+    runs.sort_by(|a, b| speedup(a).total_cmp(&speedup(b)));
+    runs.swap_remove(ARTIFACT_MEASUREMENTS / 2)
+}
+
+/// Measurements per leg behind each recorded value.
+const ARTIFACT_MEASUREMENTS: usize = 3;
+
 fn artifact() {
-    let golden = measure_ips(Path::Golden, 1.0);
-    let reference = measure_ips(Path::Reference, 1.0);
-    let injected = measure_ips(Path::Injected, 1.0);
-    let (contended, contended_reference) = measure_contended_ips(CONTENDED_BUDGET_SECS);
+    let (golden, reference, injected) = median_measurement(measure_single_ips, |m| m.0 / m.1);
+    let (contended, contended_reference) = median_measurement(measure_contended_ips, |m| m.0 / m.1);
     let fused = DecodedProgram::decode(&hot_program(10_000)).fused_pairs();
     let speedup_golden = golden / reference;
     let speedup_injected = injected / reference;
@@ -241,8 +274,9 @@ fn quick_gate() {
     };
     let recorded_golden = recorded("speedup_golden");
     let recorded_contended = recorded("speedup_contended");
-    let golden = measure_ips(Path::Golden, 0.4) / measure_ips(Path::Reference, 0.4);
-    let (contended, contended_reference) = measure_contended_ips(CONTENDED_BUDGET_SECS);
+    let (golden, reference, _) = measure_single_ips();
+    let golden = golden / reference;
+    let (contended, contended_reference) = measure_contended_ips();
     let contended = contended / contended_reference;
     let mut failed = false;
     for (name, current, recorded) in [

@@ -5,7 +5,7 @@
 //! call per retire; callers holding a `&mut dyn FaultHook` still compile
 //! against the same functions with `H = dyn FaultHook`.
 
-use crate::decode::{AluOp, DecodedProgram, FusedKind, FusedOp};
+use crate::decode::{AluOp, DecodedOp, DecodedProgram, FusedKind, FusedOp, NO_CLOSED_FORM};
 use crate::hooks::{FaultHook, RetireInfo};
 use crate::inst::{FOpKind, Inst, InstClass, IntOpKind, LaneType, Precision, VOpKind, XOpKind};
 use crate::machine::CorruptionEvent;
@@ -567,7 +567,9 @@ impl Core {
     /// [`DecodedProgram::local_run`] to be core-local, straight-line.
     /// Usage is recorded per op, and cycles and energy are added per op in
     /// program order — f64 addition is not associative, so the energy sum
-    /// is never folded.
+    /// is never folded. At the body start of a closed-form loop (see
+    /// `DecodedOp::closed_iter`) the whole iterations the run covers are
+    /// jumped at once by [`Core::jump_iterations`].
     pub(crate) fn exec_local_run(
         &mut self,
         prog: &DecodedProgram,
@@ -576,15 +578,71 @@ impl Core {
         cycles: &mut u64,
         energy: &mut f64,
     ) {
-        for _ in 0..n {
+        let mut left = n;
+        while left > 0 {
             let op = prog
                 .op(self.pc)
                 .expect("a local run stays inside the program");
+            if op.closed_iter != NO_CLOSED_FORM {
+                let iteration = prog.iteration(self.pc, op.closed_iter);
+                let jumped = self.jump_iterations(iteration, left, usage, cycles, energy);
+                if jumped > 0 {
+                    left -= jumped;
+                    continue;
+                }
+            }
             usage.record(self.id, op.class);
             self.exec_local(op.inst, op.skip_to as usize);
             *cycles += op.cycles;
             *energy += op.energy;
+            left -= 1;
         }
+    }
+
+    /// Executes in closed form the `k` whole iterations of a register-free
+    /// flat loop that fit in `n` steps, where `iteration` is the loop's
+    /// body plus its `LoopEnd` and the core stands at the body start. `k`
+    /// stops one short of the loop's last iteration, so the back-edge is
+    /// taken every time and the core ends where it started: only the loop
+    /// counter, usage and cycles change, by `k` times one iteration's
+    /// share. The energy adds still run one per op in program order (f64
+    /// addition is not associative). Returns the steps jumped, `0` when no
+    /// whole iteration fits.
+    fn jump_iterations(
+        &mut self,
+        iteration: &[DecodedOp],
+        n: u64,
+        usage: &mut UsageCounters,
+        cycles: &mut u64,
+        energy: &mut f64,
+    ) -> u64 {
+        let len = iteration.len() as u64;
+        let Some(top) = self
+            .loop_stack
+            .last_mut()
+            .filter(|top| top.0 + 1 == self.pc)
+        else {
+            return 0;
+        };
+        let k = (n / len).min(u64::from(top.1.saturating_sub(1)));
+        if k == 0 {
+            return 0;
+        }
+        top.1 -= k as u32;
+        let mut iteration_cycles = 0;
+        for op in iteration {
+            usage.record_n(self.id, op.class, k);
+            iteration_cycles += op.cycles;
+        }
+        *cycles += k * iteration_cycles;
+        let mut e = *energy;
+        for _ in 0..k {
+            for op in iteration {
+                e += op.energy;
+            }
+        }
+        *energy = e;
+        k * len
     }
 
     /// Vector execution with per-lane fault-hook retirement.
@@ -959,6 +1017,117 @@ mod tests {
         }
         assert_eq!(usage.count(0, InstClass::FloatAdd), 2);
         assert!(usage.count(0, InstClass::Control) >= 2);
+    }
+
+    /// A flat loop of `count` iterations over `body`, entered once at the
+    /// top level and twice inside an outer loop, between core-local
+    /// register ops and a store that ends every local run.
+    fn filler_program(count: u32, body: &[Inst]) -> Program {
+        let mut b = ProgramBuilder::new();
+        let filler = |b: &mut ProgramBuilder| {
+            b.loop_start(count);
+            for &inst in body {
+                b.push(inst);
+            }
+            b.loop_end();
+        };
+        b.mov_imm(1, 64);
+        filler(&mut b);
+        b.loop_start(2);
+        b.add_imm(2, 2, 1);
+        filler(&mut b);
+        b.store(2, 1, 0);
+        b.loop_end();
+        b.mov_imm(3, 1);
+        b.build()
+    }
+
+    /// The closed-form jump must leave exactly the state the per-op path
+    /// leaves: from every pc a real run visits (a sample of them for the
+    /// long loop), for every bank length up to the local run's end (the
+    /// first and last few and the middle ones for long runs), for loop
+    /// counts 0–5 and a large one, and for empty, one-op and three-op
+    /// `Pause` bodies and a body that writes a register (never jumped).
+    #[test]
+    fn closed_form_matches_per_op_path() {
+        let add = Inst::AddImm {
+            dst: 2,
+            src: 2,
+            imm: 1,
+        };
+        let bodies: [&[Inst]; 4] = [&[], &[Inst::Pause], &[Inst::Pause; 3], &[Inst::Pause, add]];
+        let mut jumpable = 0;
+        for count in (0..=5).chain([1_000]) {
+            for body in bodies {
+                let prog = DecodedProgram::decode(&filler_program(count, body));
+                let mut core = Core::new(0);
+                let mut mem = MemSystem::new(1, 4096);
+                let mut usage = UsageCounters::new(1);
+                let mut trace = Vec::new();
+                while !core.halted() {
+                    trace.push(core.clone());
+                    core.step_decoded(&prog, &mut mem, &mut NoFaults, &mut usage, &mut Vec::new());
+                }
+                let sampled = trace.len() < 500;
+                for (i, start) in trace.iter().enumerate() {
+                    if !sampled && i % 61 >= 3 {
+                        continue;
+                    }
+                    let run = prog.local_run(start.pc, &mut start.loop_stack.clone(), u64::MAX);
+                    let lengths: Vec<u64> = if run <= 64 {
+                        (0..=run).collect()
+                    } else {
+                        (0..=8)
+                            .chain(run / 2 - 2..=run / 2 + 2)
+                            .chain(run - 8..=run)
+                            .collect()
+                    };
+                    for n in lengths {
+                        let run_with = |closed: bool| {
+                            let mut core = start.clone();
+                            let mut usage = UsageCounters::new(1);
+                            let (mut cycles, mut energy) = (7u64, 0.1f64);
+                            if closed {
+                                core.exec_local_run(&prog, n, &mut usage, &mut cycles, &mut energy);
+                            } else {
+                                for _ in 0..n {
+                                    let op = prog.op(core.pc).expect("in program");
+                                    usage.record(0, op.class);
+                                    core.exec_local(op.inst, op.skip_to as usize);
+                                    cycles += op.cycles;
+                                    energy += op.energy;
+                                }
+                            }
+                            let regs: Vec<u64> = (0..4).map(|r| core.regs.int(r)).collect();
+                            let counts: Vec<u64> =
+                                InstClass::ALL.iter().map(|&c| usage.count(0, c)).collect();
+                            (
+                                core.pc,
+                                core.loop_stack,
+                                regs,
+                                counts,
+                                cycles,
+                                energy.to_bits(),
+                            )
+                        };
+                        let label = format!("count {count} body {body:?} step {i} n {n}");
+                        assert_eq!(run_with(true), run_with(false), "{label}");
+                        let op = prog.op(start.pc).expect("in program");
+                        let iteration = body.len() as u64 + 1;
+                        if op.closed_iter != NO_CLOSED_FORM
+                            && start.loop_stack.last().is_some_and(|top| top.1 > 1)
+                            && n >= iteration
+                        {
+                            jumpable += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            jumpable > 1_000,
+            "too few banks reach a closed-form jump ({jumpable})"
+        );
     }
 
     #[test]

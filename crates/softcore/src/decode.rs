@@ -13,7 +13,10 @@
 //!   phase;
 //! * core-local marks on the ops that touch no memory, call no hook and
 //!   cannot halt, whose steps the contended phase banks instead of
-//!   dispatching (see [`crate::machine::Machine::run`]).
+//!   dispatching (see [`crate::machine::Machine::run`]);
+//! * closed-form marks on the bodies of flat loops that write no
+//!   register, whose banked iterations execute all at once (see
+//!   `Core::exec_local_run`).
 //!
 //! The decoded form keeps a strict 1:1 pc mapping with the source
 //! program — fusion is a per-pc mark consulted at dispatch, not a
@@ -45,9 +48,16 @@ pub(crate) struct DecodedOp {
     /// the loop's remaining iterations without walking them. `NO_FLAT_BODY`
     /// otherwise.
     pub(crate) flat_body: u32,
+    /// On the first op of a flat loop body that writes no register (today
+    /// that means a body of `Pause` ops only, the toolchain's filler): the
+    /// iteration length, body plus `LoopEnd`. Whole iterations of such a
+    /// loop change only its counter, usage, cycles and energy, so a banked
+    /// run jumps them in closed form. `NO_CLOSED_FORM` otherwise.
+    pub(crate) closed_iter: u32,
 }
 
 const NO_FLAT_BODY: u32 = u32::MAX;
+pub(crate) const NO_CLOSED_FORM: u32 = u32::MAX;
 
 /// The core-local instructions: register moves, immediate adds, the
 /// compare, `Pause`, and loop control. `IntOp` is not among them — it
@@ -150,6 +160,7 @@ impl DecodedProgram {
                     skip_to,
                     local: is_core_local(&inst),
                     flat_body: NO_FLAT_BODY,
+                    closed_iter: NO_CLOSED_FORM,
                 }
             })
             .collect::<Vec<_>>();
@@ -162,6 +173,9 @@ impl DecodedProgram {
                     .all(|i| is_core_local(i) && !matches!(i, Inst::LoopStart { .. }))
                 {
                     ops[end].flat_body = body.len() as u32;
+                    if body.iter().all(|i| matches!(i, Inst::Pause)) {
+                        ops[start + 1].closed_iter = body.len() as u32 + 1;
+                    }
                 }
             }
         }
@@ -223,6 +237,13 @@ impl DecodedProgram {
             Some(&i) if i != NO_FUSE => Some(&self.fused[i as usize]),
             _ => None,
         }
+    }
+
+    /// The `len` ops starting at `pc`: one iteration of a closed-form loop
+    /// whose body starts at `pc` (see `DecodedOp::closed_iter`).
+    #[inline]
+    pub(crate) fn iteration(&self, pc: usize, len: u32) -> &[DecodedOp] {
+        &self.ops[pc..pc + len as usize]
     }
 
     /// Length of the run of core-local ops a core at `pc` with loop

@@ -29,6 +29,12 @@ impl UsageCounters {
         self.counts[core][class as usize] += 1;
     }
 
+    /// Records `n` executions of `class` on `core`.
+    #[inline]
+    pub fn record_n(&mut self, core: usize, class: InstClass, n: u64) {
+        self.counts[core][class as usize] += n;
+    }
+
     /// Executions of `class` on `core`.
     #[inline]
     pub fn count(&self, core: usize, class: InstClass) -> u64 {
@@ -74,10 +80,13 @@ mod tests {
         u.record(0, InstClass::IntArith);
         u.record(0, InstClass::IntArith);
         u.record(1, InstClass::FloatMul);
+        u.record_n(1, InstClass::FloatMul, 3);
+        u.record_n(1, InstClass::Load, 0);
+        assert_eq!(u.count(1, InstClass::FloatMul), 4);
         assert_eq!(u.count(0, InstClass::IntArith), 2);
         assert_eq!(u.count(1, InstClass::IntArith), 0);
         assert_eq!(u.total(InstClass::IntArith), 2);
-        assert_eq!(u.core_total(1), 1);
+        assert_eq!(u.core_total(1), 4);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! derived purely from the key so cached and uncached runs are bitwise
 //! identical.
 
-use crate::executor::{CoreProfile, ExecConfig};
+use crate::executor::{compute_unit_profile, CoreProfile, ExecConfig};
 use crate::profile::Profiler;
+use crate::testcase::Testcase;
 use sdc_model::{DetRng, TestcaseId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,9 +106,11 @@ impl CacheStats {
 type Slot = Arc<OnceLock<Arc<CachedUnitProfile>>>;
 
 struct Inner {
-    map: HashMap<ProfileKey, Slot>,
-    /// Recency list, oldest first; small cardinality (≤ capacity).
-    order: Vec<ProfileKey>,
+    /// Each entry with the stamp of its last use; the smallest stamp is
+    /// the least recently used entry.
+    map: HashMap<ProfileKey, (Slot, u64)>,
+    /// The next use stamp.
+    clock: u64,
 }
 
 /// Shared, thread-safe unit-profile memoization with LRU eviction.
@@ -158,7 +161,7 @@ impl ProfileCache {
             evictions: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                order: Vec::new(),
+                clock: 0,
             }),
         }
     }
@@ -177,29 +180,40 @@ impl ProfileCache {
     {
         let slot: Slot = {
             let mut inner = self.inner.lock().expect("profile cache poisoned");
-            if let Some(slot) = inner.map.get(&key) {
-                let slot = slot.clone();
+            let stamp = inner.clock;
+            inner.clock += 1;
+            if let Some((slot, used)) = inner.map.get_mut(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                // Refresh recency.
-                if let Some(pos) = inner.order.iter().position(|k| *k == key) {
-                    inner.order.remove(pos);
-                    inner.order.push(key);
-                }
-                slot
+                *used = stamp;
+                slot.clone()
             } else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 if inner.map.len() >= self.capacity {
-                    let oldest = inner.order.remove(0);
+                    let oldest = *inner
+                        .map
+                        .iter()
+                        .min_by_key(|(_, (_, used))| *used)
+                        .expect("a full cache has entries")
+                        .0;
                     inner.map.remove(&oldest);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 let slot: Slot = Arc::new(OnceLock::new());
-                inner.map.insert(key, slot.clone());
-                inner.order.push(key);
+                inner.map.insert(key, (slot.clone(), stamp));
                 slot
             }
         };
         slot.get_or_init(|| Arc::new(compute())).clone()
+    }
+
+    /// The unit profile of `tc` on `cores` cores under `cfg`, computed on
+    /// first use. This is the lookup every [`crate::Executor`] run makes
+    /// first; callers that know their keys ahead (the deep study) make it
+    /// for many keys in parallel to warm the cache, so that their
+    /// executors then hit on every lookup.
+    pub fn profile(&self, tc: &Testcase, cores: usize, cfg: &ExecConfig) -> Arc<CachedUnitProfile> {
+        let key = ProfileKey::of(tc.id, cores, cfg);
+        self.get_or_compute(key, || compute_unit_profile(tc, key, cfg))
     }
 
     /// Current counters.

@@ -423,7 +423,7 @@ impl<'p> Executor<'p> {
             }
         }
         Ok(match &self.cache {
-            Some(cache) => cache.get_or_compute(key, || compute_unit_profile(tc, key, &self.cfg)),
+            Some(cache) => cache.profile(tc, cores.len(), &self.cfg),
             None => Arc::new(compute_unit_profile(tc, key, &self.cfg)),
         })
     }
@@ -1277,7 +1277,11 @@ impl<'p> Executor<'p> {
 /// result into a [`CachedUnitProfile`]. All randomness comes from
 /// [`ProfileKey::stream`], making the result a pure function of
 /// `(tc, key, cfg)`.
-fn compute_unit_profile(tc: &Testcase, key: ProfileKey, cfg: &ExecConfig) -> CachedUnitProfile {
+pub(crate) fn compute_unit_profile(
+    tc: &Testcase,
+    key: ProfileKey,
+    cfg: &ExecConfig,
+) -> CachedUnitProfile {
     let mut rng = key.stream();
     let built = builders::build(tc, key.cores, cfg.unit_iters, rng.next_u64());
     let mut machine = Machine::new(key.cores, built.mem_bytes);

@@ -24,7 +24,8 @@ struct Fingerprint {
     steps: u64,
     out_cycles: u64,
     events: Vec<(usize, InstClass, DataType, u128, u128)>,
-    usage: Vec<(InstClass, u64)>,
+    /// Per core, the count of every class in [`InstClass::ALL`] order.
+    usage: Vec<Vec<u64>>,
     cycles: Vec<u64>,
     energy_bits: Vec<u64>,
     tx: Vec<(u64, u64)>,
@@ -61,7 +62,14 @@ fn fingerprint(m: &Machine, out: softcore::RunOutcome) -> Fingerprint {
             .iter()
             .map(|e| (e.core, e.class, e.dt, e.expected, e.actual))
             .collect(),
-        usage: m.usage.profile(),
+        usage: (0..m.num_cores())
+            .map(|c| {
+                InstClass::ALL
+                    .iter()
+                    .map(|&k| m.usage.count(c, k))
+                    .collect()
+            })
+            .collect(),
         cycles: m.cycles.clone(),
         energy_bits: m.energy.iter().map(|e| e.to_bits()).collect(),
         tx: (0..m.num_cores()).map(|c| m.core(c).tx_stats()).collect(),
@@ -181,6 +189,20 @@ fn loaded_machine(cores: usize, programs: &[Program]) -> Machine {
 
 const VARIANTS: [&str; 3] = ["fast", "dyn", "reference"];
 
+/// Everything a [`Profiler`] collected: per-site counts and the bit
+/// samples of every site kind.
+type ProfilerProducts = (Vec<((usize, InstClass, DataType), u64)>, Vec<Vec<u128>>);
+
+fn profiler_products(profiler: &Profiler) -> ProfilerProducts {
+    let counts = profiler.counts().collect();
+    let samples = profiler
+        .site_kinds()
+        .into_iter()
+        .map(|(class, dt)| profiler.samples(class, dt).to_vec())
+        .collect();
+    (counts, samples)
+}
+
 #[test]
 fn golden_runs_identical_across_interpreters() {
     for cores in [1usize, 2, 4] {
@@ -222,13 +244,7 @@ fn profiled_runs_identical_across_interpreters() {
         assert_transparent(&format!("profiled c{cores}"), &VARIANTS, |variant| {
             let mut profiler = Profiler::new(DetRng::new(0x9821));
             let fp = run_variant(variant, cores, 5, &programs, &mut profiler, u64::MAX);
-            let counts: Vec<_> = profiler.counts().collect();
-            let samples: Vec<_> = profiler
-                .site_kinds()
-                .into_iter()
-                .map(|(class, dt)| profiler.samples(class, dt).to_vec())
-                .collect();
-            (fp, counts, samples)
+            (fp, profiler_products(&profiler))
         });
     }
 }
@@ -265,10 +281,10 @@ fn filler(b: &mut ProgramBuilder, iters: u32) {
 
 /// A filler-diluted lock counter (the shape of the toolchain's diluted
 /// `LockCounter` testcases): long core-local runs between short critical
-/// sections on a shared lock and counter.
-fn diluted_lock_counter(rounds: u32, dilution: u32) -> Program {
+/// sections on a lock at `base` and a counter one cache line above it.
+fn diluted_lock_counter(base: u64, rounds: u32, dilution: u32) -> Program {
     let mut b = ProgramBuilder::new();
-    b.mov_imm(0, 0).mov_imm(1, 64).mov_imm(2, 1);
+    b.mov_imm(0, base).mov_imm(1, base + 64).mov_imm(2, 1);
     b.loop_start(rounds);
     filler(&mut b, dilution);
     b.lock_acquire(0);
@@ -329,7 +345,7 @@ fn local_mix(core: usize, rounds: u32) -> Program {
 fn banked_workload(cores: usize) -> Vec<Program> {
     (0..cores)
         .map(|c| match c % 3 {
-            0 => diluted_lock_counter(4, 8 + c as u32),
+            0 => diluted_lock_counter(0, 4, 8 + c as u32),
             1 => diluted_tx_counter(c, 3, 16),
             _ => local_mix(c, 5),
         })
@@ -414,15 +430,7 @@ fn banked_profiled_runs_identical_across_interpreters() {
         "banked profiled",
         5,
         || Profiler::new(DetRng::new(0x9821)),
-        |profiler| {
-            let counts: Vec<_> = profiler.counts().collect();
-            let samples: Vec<_> = profiler
-                .site_kinds()
-                .into_iter()
-                .map(|(class, dt)| profiler.samples(class, dt).to_vec())
-                .collect();
-            (counts, samples)
-        },
+        profiler_products,
     );
 }
 
@@ -461,7 +469,7 @@ fn banked_injected_runs_identical_across_interpreters() {
 fn capped_local_runs_identical_across_interpreters() {
     // Filler runs of 9001 steps, longer than one dry walk measures, so
     // the contended phase banks each run in pieces that start mid-loop.
-    let programs = vec![diluted_lock_counter(2, 4500); 2];
+    let programs = vec![diluted_lock_counter(0, 2, 4500); 2];
     let halt = first_halt(2, 4, &programs, &|| NoFaults);
     for budget in [5_000, 9_000, 9_001, halt, halt + 1, u64::MAX] {
         assert_transparent(
@@ -472,6 +480,173 @@ fn capped_local_runs_identical_across_interpreters() {
                 let fp = run_variant(variant, 2, 4, &programs, &mut profiler, budget);
                 (fp, profiler.counts().collect::<Vec<_>>())
             },
+        );
+    }
+}
+
+/// Threads per lock group, rounds per thread and the filler of the
+/// closed-form workload: the suite's `cache/lock/t4/r8/d64` with its
+/// 4096-iteration `Pause` filler scaled down so every cut stays cheap.
+const GROUP: usize = 4;
+const ROUNDS: u32 = 8;
+const FILLER: u32 = 24;
+
+/// `cache/lock/t4/r8` lock groups at `cores` cores: every four cores share
+/// a lock and a counter, and each round opens with a `Pause` filler loop,
+/// the shape the closed form jumps.
+fn lock_groups(cores: usize) -> Vec<Program> {
+    (0..cores)
+        .map(|c| diluted_lock_counter(256 * (c / GROUP) as u64, ROUNDS, FILLER))
+        .collect()
+}
+
+/// Where a budget cut some core's filler loop (see [`filler_cuts`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct FillerCuts {
+    /// Between a `Pause` and its `LoopEnd`, after whole iterations.
+    inside_span: bool,
+    /// On an iteration boundary, after at least one back-edge.
+    on_boundary: bool,
+    /// Inside the loop's last iteration.
+    in_last: bool,
+}
+
+/// Classifies where the run left each core of a [`lock_groups`] machine,
+/// from its per-core usage. In round `r` (its `Load` count) a core inside
+/// the filler has retired `5 + r·(FILLER + 2)` `Control` ops before the
+/// filler's `LoopEnd`s, `r·FILLER` `Pause`s before the filler's, and has
+/// retired `j` `Pause`s and `i` `LoopEnd`s of the current filler.
+fn filler_cuts(fp: &Fingerprint) -> FillerCuts {
+    let index = |class| InstClass::ALL.iter().position(|&k| k == class).unwrap();
+    let mut cuts = FillerCuts::default();
+    for counts in &fp.usage {
+        let f = i64::from(FILLER);
+        let r = counts[index(InstClass::Load)] as i64;
+        let j = counts[index(InstClass::Pause)] as i64 - r * f;
+        let i = counts[index(InstClass::Control)] as i64 - 5 - r * (f + 2);
+        cuts.inside_span |= i == j - 1 && (2..f).contains(&j);
+        cuts.on_boundary |= i == j && (1..f - 1).contains(&j);
+        cuts.in_last |= i == f - 1 && (j == f - 1 || j == f);
+    }
+    cuts
+}
+
+/// Budgets for the closed-form workload: every budget up to the end of
+/// the run at two cores, which cuts each core's filler at every step,
+/// and a stride through the run plus the first-halt seams at 16 and 64.
+fn closed_form_budgets<H: FaultHook>(
+    cores: usize,
+    seed: u64,
+    programs: &[Program],
+    make_hook: &impl Fn() -> H,
+) -> Vec<u64> {
+    let mut m = loaded_machine(cores, programs);
+    let total = m
+        .run_reference(&mut make_hook(), &mut DetRng::new(seed), u64::MAX)
+        .steps;
+    if cores == 2 {
+        return (1..=total + 1).collect();
+    }
+    let halt = first_halt(cores, seed, programs, make_hook);
+    let mut cuts: Vec<u64> = (0..total).step_by(1_009).skip(1).collect();
+    cuts.extend(budgets(halt));
+    cuts
+}
+
+/// Asserts all three interpreters agree on the lock groups at 2, 16 and
+/// 64 cores for every [`closed_form_budgets`] budget, and that the
+/// budgets cut some filler inside a jumped span, on an iteration
+/// boundary and in its last iteration.
+fn assert_closed_form_transparent<H, T>(
+    label: &str,
+    seed: u64,
+    make_hook: impl Fn() -> H,
+    observe: impl Fn(&H) -> T,
+) where
+    H: FaultHook,
+    T: PartialEq + std::fmt::Debug,
+{
+    for cores in [2usize, 16, 64] {
+        let programs = lock_groups(cores);
+        let mut seen = FillerCuts::default();
+        for budget in closed_form_budgets(cores, seed, &programs, &make_hook) {
+            assert_transparent(
+                &format!("{label} c{cores} budget {budget}"),
+                &VARIANTS,
+                |variant| {
+                    let mut hook = make_hook();
+                    let fp = run_variant(variant, cores, seed, &programs, &mut hook, budget);
+                    let cuts = filler_cuts(&fp);
+                    seen.inside_span |= cuts.inside_span;
+                    seen.on_boundary |= cuts.on_boundary;
+                    seen.in_last |= cuts.in_last;
+                    (fp, observe(&hook))
+                },
+            );
+        }
+        let all = FillerCuts {
+            inside_span: true,
+            on_boundary: true,
+            in_last: true,
+        };
+        assert_eq!(seen, all, "{label} c{cores}: budgets miss a filler cut");
+    }
+}
+
+#[test]
+fn closed_form_golden_runs_identical_across_interpreters() {
+    assert_closed_form_transparent("closed-form golden", 6, || NoFaults, |_| ());
+}
+
+#[test]
+fn closed_form_profiled_runs_identical_across_interpreters() {
+    assert_closed_form_transparent(
+        "closed-form profiled",
+        8,
+        || Profiler::new(DetRng::new(0x9821)),
+        profiler_products,
+    );
+}
+
+#[test]
+fn closed_form_injected_runs_identical_across_interpreters() {
+    let proc_ = defective_processor();
+    let make_injector = || {
+        let core_map: Vec<u16> = (0..64).map(|c| c % 8).collect();
+        let mut injector = Injector::new(&proc_, core_map, 45.0, DetRng::new(0x2e));
+        injector.set_temps(&[62.0; 64]);
+        injector
+    };
+    let fp = run_variant(
+        "reference",
+        64,
+        9,
+        &lock_groups(64),
+        &mut make_injector(),
+        u64::MAX,
+    );
+    assert!(
+        fp.mem_stats.dropped_invalidations > 0,
+        "the injector must drop invalidations"
+    );
+    assert_closed_form_transparent("closed-form injected", 9, make_injector, |_| ());
+}
+
+#[test]
+fn bank_starting_at_loop_end_identical_across_interpreters() {
+    // A filler of 3000 iterations at pc 0: its local run of 6001 steps is
+    // longer than one dry walk measures (4096), so it is banked in two
+    // pieces. The first starts at the `LoopStart` and has even length,
+    // so the second starts at the `LoopEnd`.
+    let mut b = ProgramBuilder::new();
+    filler(&mut b, 3_000);
+    b.mov_imm(1, 64).store(1, 1, 0);
+    let programs = vec![b.build(); 2];
+    for budget in [4_097, 6_000, 6_001, 9_000, u64::MAX] {
+        assert_transparent(
+            &format!("bank at LoopEnd budget {budget}"),
+            &VARIANTS,
+            |variant| run_variant(variant, 2, 12, &programs, &mut NoFaults, budget),
         );
     }
 }
