@@ -8,7 +8,7 @@
 
 use sdc_model::stats::{linear_fit, pearson, LinFit};
 use sdc_model::{DetRng, Duration, SettingId, TestcaseId};
-use silicon::Processor;
+use silicon::{Defect, Processor};
 use std::sync::Arc;
 use toolchain::{ExecConfig, Executor, ProfileCache, Suite};
 
@@ -25,17 +25,31 @@ fn sweep_cores(processor: &Processor, suite: &Suite, testcase: TestcaseId, core:
     }
 }
 
-/// The physical core most sensitive to a processor's defects at `temp_c`
-/// (all-core defects spread their rates over orders of magnitude, so
-/// sweeps are best run on the hottest-rate core).
-pub fn most_sensitive_core(processor: &Processor, temp_c: f64) -> u16 {
-    (0..processor.physical_cores)
+/// The setting a Figure 8 panel sweeps for `defect` of `processor`: the
+/// defect's hottest-rate core at 70 ℃, and the first testcase named
+/// `prefix…` that the defect's code paths reach (§4.1 selectivity), or
+/// `None` when the defect reaches no such testcase.
+pub fn panel_setting(
+    processor: &Processor,
+    defect: &Defect,
+    suite: &Suite,
+    prefix: &str,
+) -> (u16, Option<TestcaseId>) {
+    let core = (0..processor.physical_cores)
         .max_by(|&a, &b| {
-            let ra: f64 = processor.defects.iter().map(|d| d.rate(a, temp_c)).sum();
-            let rb: f64 = processor.defects.iter().map(|d| d.rate(b, temp_c)).sum();
-            ra.partial_cmp(&rb).expect("finite rates")
+            defect
+                .rate(a, 70.0)
+                .partial_cmp(&defect.rate(b, 70.0))
+                .expect("invariant violated: defect rates are finite")
         })
-        .unwrap_or(0)
+        .unwrap_or(0);
+    let testcase = suite
+        .testcases()
+        .iter()
+        .filter(|t| t.name.starts_with(prefix))
+        .find(|t| defect.applies_to(t.id))
+        .map(|t| t.id);
+    (core, testcase)
 }
 
 /// One measured (temperature, frequency) point.
@@ -159,23 +173,24 @@ pub fn min_trigger_temp(
     None
 }
 
+/// Figure 9's scan, shared by `repro fig9` and the conformance gate: the
+/// grid 46–80 ℃ in 2 ℃ steps, and the window per grid point (10
+/// minutes in quick mode, 30 otherwise).
+pub fn figure9_scan(quick: bool) -> (Vec<f64>, Duration) {
+    let grid = (46..=80).step_by(2).map(f64::from).collect();
+    (grid, Duration::from_mins(if quick { 10 } else { 30 }))
+}
+
 /// Pearson correlation between minimum triggering temperature and
 /// `log10(frequency at threshold)` over a set of trigger points —
 /// Figure 9's r = −0.8272.
 pub fn figure9_correlation(points: &[TriggerPoint]) -> Option<f64> {
-    let xs: Vec<f64> = points.iter().map(|p| p.min_trigger_temp_c).collect();
-    let ys: Vec<f64> = points
+    // Zero-frequency points carry no log value.
+    let (xs, ys): (Vec<f64>, Vec<f64>) = points
         .iter()
         .filter(|p| p.freq_at_min > 0.0)
-        .map(|p| p.freq_at_min.log10())
-        .collect();
-    if xs.len() != ys.len() {
-        // Zero-frequency points carry no log value; filter consistently.
-        let filtered: Vec<&TriggerPoint> = points.iter().filter(|p| p.freq_at_min > 0.0).collect();
-        let xs: Vec<f64> = filtered.iter().map(|p| p.min_trigger_temp_c).collect();
-        let ys: Vec<f64> = filtered.iter().map(|p| p.freq_at_min.log10()).collect();
-        return pearson(&xs, &ys);
-    }
+        .map(|p| (p.min_trigger_temp_c, p.freq_at_min.log10()))
+        .unzip();
     pearson(&xs, &ys)
 }
 

@@ -11,6 +11,8 @@
 
 use crate::metrics::Metric;
 use serde::{Deserialize, Serialize};
+use std::io::{self, ErrorKind};
+use std::path::Path;
 
 /// The embedded golden file (regenerate with `repro conform --quick
 /// --write-golden crates/conformance/GOLDEN.json`).
@@ -220,6 +222,27 @@ pub fn regenerate(existing: Option<&GoldenSet>, mode: &str, measured: &[Metric])
     }
 }
 
+/// Loads the golden file at `path` and replaces its `mode` set with one
+/// regenerated from `measured` ([`regenerate`]), keeping every other
+/// set. A missing file starts empty; an unreadable file returns its read
+/// error and a malformed one [`ErrorKind::InvalidData`], so a rewrite
+/// never drops sets it could not read.
+pub fn merge_golden(path: &Path, mode: &str, measured: &[Metric]) -> io::Result<GoldenFile> {
+    let mut file = match std::fs::read_to_string(path) {
+        Ok(text) => parse_golden(&text).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?,
+        Err(e) if e.kind() == ErrorKind::NotFound => GoldenFile {
+            version: 1,
+            sets: Vec::new(),
+        },
+        Err(e) => return Err(e),
+    };
+    let set = regenerate(file.set(mode), mode, measured);
+    file.sets.retain(|s| s.mode != mode);
+    file.sets.push(set);
+    file.sets.sort_by(|a, b| a.mode.cmp(&b.mode));
+    Ok(file)
+}
+
 /// Serializes a golden file as indented-enough JSON (one metric per
 /// line, so diffs of regenerated files review cleanly).
 pub fn render_golden(file: &GoldenFile) -> String {
@@ -331,5 +354,88 @@ mod tests {
         assert_eq!(new.metrics[0].tol, 0.1, "existing band kept");
         assert_eq!(new.metrics[0].value, 1.02, "value refreshed");
         assert!(new.metrics[1].tol > 0.0, "new metric gets a default band");
+    }
+
+    /// A scratch path unique to one test.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("golden-merge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    fn two_modes() -> GoldenFile {
+        let mut full = set();
+        full.mode = "full".into();
+        GoldenFile {
+            version: 1,
+            sets: vec![full, set()],
+        }
+    }
+
+    #[test]
+    fn merge_replaces_only_the_measured_mode() {
+        let path = scratch("both.json");
+        std::fs::write(&path, render_golden(&two_modes())).unwrap();
+        let merged = merge_golden(&path, "quick", &[metric("a", 1.5)]).unwrap();
+        assert_eq!(
+            merged.set("full"),
+            two_modes().set("full"),
+            "other mode kept"
+        );
+        let quick = merged.set("quick").unwrap();
+        assert_eq!(quick.metrics.len(), 1);
+        assert_eq!((quick.metrics[0].value, quick.metrics[0].tol), (1.5, 0.1));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn merge_starts_a_missing_file_empty() {
+        let path = scratch("missing.json");
+        std::fs::remove_file(&path).ok();
+        let merged = merge_golden(&path, "full", &[metric("a", 1.0)]).unwrap();
+        assert_eq!(merged.version, 1);
+        assert_eq!(merged.sets.len(), 1);
+        assert_eq!(merged.sets[0].mode, "full");
+    }
+
+    #[test]
+    fn merge_rejects_truncated_and_malformed_files_untouched() {
+        let text = render_golden(&two_modes());
+        let truncated = &text[..text.len() / 2];
+        for (name, content) in [
+            ("truncated.json", truncated),
+            ("malformed.json", "{\"version\":"),
+        ] {
+            let path = scratch(name);
+            std::fs::write(&path, content).unwrap();
+            match merge_golden(&path, "quick", &[metric("a", 1.0)]) {
+                Err(e) if e.kind() == ErrorKind::InvalidData => {}
+                other => panic!("{name}: {other:?}"),
+            }
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                content,
+                "{name} untouched"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+        // The checked-in file cut anywhere is never silently accepted.
+        let path = scratch("cut.json");
+        for end in (0..GOLDEN_JSON.len() - 2).step_by(97) {
+            std::fs::write(&path, &GOLDEN_JSON[..end]).unwrap();
+            let err = merge_golden(&path, "quick", &[]).expect_err("a cut file is malformed");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "prefix of {end} bytes");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn merge_reports_an_unreadable_path() {
+        // A directory exists but cannot be read as a file.
+        let path = scratch("a-directory");
+        std::fs::create_dir_all(&path).unwrap();
+        let err = merge_golden(&path, "quick", &[]).expect_err("a directory is unreadable");
+        assert_ne!(err.kind(), ErrorKind::InvalidData);
+        assert_ne!(err.kind(), ErrorKind::NotFound);
     }
 }

@@ -3,12 +3,17 @@
 //!
 //! Three layers, all wired into `repro conform [--quick]`:
 //!
-//! 1. **Golden statistics** ([`golden`], [`metrics`]): replay the study
-//!    deterministically and assert every paper-reproducible statistic
-//!    (Table 1 failure rates, feature/datatype shares, bitflip structure,
-//!    temperature curves, Farron eval deltas) against the checked-in
+//! 1. **Golden statistics** ([`golden`], [`metrics`]): assert every
+//!    paper-reproducible statistic (Table 1 failure rates,
+//!    feature/datatype shares, bitflip structure, temperature curves,
+//!    Farron eval deltas) against the checked-in
 //!    [`GOLDEN.json`](https://example.invalid) with explicit per-metric
-//!    tolerance bands.
+//!    tolerance bands. The caller hands [`collect_metrics`] the campaign,
+//!    deep study and evaluation it already ran (`repro` reads them off
+//!    its one session, so the gate re-runs none of them);
+//!    [`metrics::campaign_config`], [`metrics::study_config`],
+//!    [`metrics::table4_config`] and [`metrics::eval_config`] are the
+//!    single source of those runs' configs.
 //! 2. **Differential softcore oracle** ([`oracle`], [`reference`]):
 //!    property-based instruction streams executed both on a defect-free
 //!    [`softcore::Machine`] and on an independent pure-Rust reference

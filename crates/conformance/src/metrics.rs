@@ -1,18 +1,20 @@
-//! Metric collectors: one number per paper-reproducible statistic.
+//! Metric collectors: one number per paper-reproducible statistic, and
+//! the configs of the runs they read.
 //!
 //! Each collector mirrors the corresponding `repro` artifact exactly
 //! (same configs, seeds and derivations), so the conformance gate checks
 //! the statistics a reader of EXPERIMENTS.md actually sees. The eval
-//! collector is the exception: quick mode uses a deliberately small
-//! evaluation (one round, short windows) so the CI thread matrix stays
-//! fast — its golden values are recorded from the same small config.
+//! collector is the exception in quick mode: [`eval_config`] is a
+//! deliberately small evaluation (one round, short windows) so the CI
+//! thread matrix stays fast — its golden values are recorded from the
+//! same small config. In full mode it is [`table4_config`].
 
-use analysis::study::{run_deep_study, StudyConfig, StudyData};
+use analysis::study::{StudyConfig, StudyData};
 use analysis::{
     bitflips, datatypes, features, observations, precision, reproducibility, temperature,
 };
-use farron::eval::{evaluate, EvalConfig, EvalRow};
-use fleet::{run_campaign, CampaignOutcome, FleetConfig};
+use farron::eval::{EvalConfig, EvalRow};
+use fleet::{CampaignOutcome, FleetConfig};
 use sdc_model::{DataType, Duration};
 use silicon::Processor;
 use toolchain::Suite;
@@ -58,8 +60,24 @@ pub fn study_config(quick: bool, threads: usize) -> StudyConfig {
     }
 }
 
-/// The Farron evaluation config. Quick mode is a one-round miniature
-/// (see module docs); full mode matches `repro table4`.
+/// The Farron evaluation config behind Table 4 / Figure 11; `repro
+/// table4`/`fig11` run it.
+pub fn table4_config(quick: bool, threads: usize) -> EvalConfig {
+    EvalConfig {
+        reference_per_testcase: if quick {
+            Duration::from_mins(3)
+        } else {
+            Duration::from_mins(10)
+        },
+        rounds: if quick { 2 } else { 4 },
+        threads,
+        ..EvalConfig::default()
+    }
+}
+
+/// The Farron evaluation config the gate measures. Quick mode is a
+/// one-round miniature (see module docs); full mode is
+/// [`table4_config`], so a full `repro all conform` evaluates once.
 pub fn eval_config(quick: bool, threads: usize) -> EvalConfig {
     if quick {
         EvalConfig {
@@ -70,10 +88,7 @@ pub fn eval_config(quick: bool, threads: usize) -> EvalConfig {
             threads,
         }
     } else {
-        EvalConfig {
-            threads,
-            ..EvalConfig::default()
-        }
+        table4_config(false, threads)
     }
 }
 
@@ -179,25 +194,11 @@ pub fn study_metrics(study: &StudyData, suite: &Suite) -> Vec<Metric> {
 /// Takes the processor as a parameter so tests can perturb a defect's
 /// trigger model (`tests/golden_gate.rs`) and watch the gate trip.
 pub fn temperature_metrics(suite: &Suite, processor: &Processor, quick: bool) -> Vec<Metric> {
-    // Mirrors the MIX1 panel of `repro fig8`: defect 1 drives the panel,
-    // the sweep runs on the defect's hottest-rate core, on the first
-    // fpu/f64/fam2 testcase the defect's code paths reach.
+    // Mirrors the MIX1 panel of `repro fig8`: defect 1 drives the panel
+    // on the first fpu/f64/fam2 testcase it reaches.
     let didx = 1.min(processor.defects.len().saturating_sub(1));
-    let defect = &processor.defects[didx];
-    let core = (0..processor.physical_cores)
-        .max_by(|&a, &b| {
-            defect
-                .rate(a, 70.0)
-                .partial_cmp(&defect.rate(b, 70.0))
-                .expect("invariant violated: defect rates are finite")
-        })
-        .unwrap_or(0);
-    let tc = suite
-        .testcases()
-        .iter()
-        .filter(|t| t.name.starts_with("fpu/f64/fam2"))
-        .find(|t| defect.applies_to(t.id))
-        .map(|t| t.id);
+    let (core, tc) =
+        temperature::panel_setting(processor, &processor.defects[didx], suite, "fpu/f64/fam2");
     let Some(tc) = tc else {
         // A perturbed selectivity seed can detach the defect from every
         // panel testcase; report sentinel values so the gate fails loudly
@@ -219,12 +220,7 @@ pub fn temperature_metrics(suite: &Suite, processor: &Processor, quick: bool) ->
         "temperature.mix1_fit_r",
         sweep.fit.map(|f| f.r).unwrap_or(f64::NAN),
     )];
-    let grid: Vec<f64> = (46..=80).step_by(2).map(f64::from).collect();
-    let trig_window = if quick {
-        Duration::from_mins(10)
-    } else {
-        Duration::from_mins(30)
-    };
+    let (grid, trig_window) = temperature::figure9_scan(quick);
     let point = temperature::min_trigger_temp(
         processor,
         suite,
@@ -274,40 +270,33 @@ pub fn eval_metrics(rows: &[EvalRow]) -> Vec<Metric> {
     ]
 }
 
-/// Runs every collector and concatenates the metric vector. `progress`
-/// is called before each expensive stage.
+/// Assembles the gate's metric vector from already-computed results:
+/// the campaign behind Tables 1–2, the deep study, and the Farron rows
+/// of [`eval_config`]. Nothing here drives a campaign, a study or an
+/// evaluation, so a caller that already printed those artifacts hands
+/// over the same results; only the MIX1 temperature panel is measured
+/// here ([`temperature_metrics`]).
 pub fn collect_metrics(
+    campaign: &CampaignOutcome,
+    study: &StudyData,
+    eval_rows: &[EvalRow],
+    suite: &Suite,
     quick: bool,
-    threads: usize,
-    mut progress: impl FnMut(&str),
 ) -> Vec<Metric> {
-    let suite = Suite::standard();
-    let mut v = Vec::new();
-
-    progress("campaign (tables 1-2)");
-    let outcome = run_campaign(&campaign_config(quick, threads), &suite);
-    v.extend(campaign_metrics(&outcome));
-
-    progress("deep study (figures 2-7, observations 4-11)");
-    let study = run_deep_study(&study_config(quick, threads));
-    v.extend(study_metrics(&study, &suite));
-
-    progress("temperature sweep (figures 8-9, MIX1 panel)");
     let mix1 = silicon::catalog::by_name("MIX1")
         .expect("invariant violated: MIX1 is in the catalog")
         .processor;
-    v.extend(temperature_metrics(&suite, &mix1, quick));
-
-    progress("farron evaluation (table 4, figure 11)");
-    let rows = evaluate(&eval_config(quick, threads));
-    v.extend(eval_metrics(&rows));
-
+    let mut v = campaign_metrics(campaign);
+    v.extend(study_metrics(study, suite));
+    v.extend(temperature_metrics(suite, &mix1, quick));
+    v.extend(eval_metrics(eval_rows));
     v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fleet::run_campaign;
 
     #[test]
     fn slugs_are_lowercase_identifiers() {
@@ -326,6 +315,13 @@ mod tests {
         assert_eq!(s.seed, 27);
         let e = eval_config(true, 2);
         assert_eq!(e.rounds, 1);
+        let t = table4_config(true, 2);
+        assert_eq!(
+            (t.reference_per_testcase, t.rounds),
+            (Duration::from_mins(3), 2)
+        );
+        // Full mode gates exactly the evaluation `repro table4` prints.
+        assert_eq!(eval_config(false, 2), table4_config(false, 2));
     }
 
     #[test]

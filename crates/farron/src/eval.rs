@@ -32,7 +32,7 @@ use std::sync::Arc;
 use toolchain::{framework, ExecConfig, ProfileCache, Suite};
 
 /// Evaluation parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalConfig {
     /// Reference ("adequate") per-testcase duration.
     pub reference_per_testcase: Duration,
@@ -102,23 +102,23 @@ fn burn_in_exec() -> ExecConfig {
 }
 
 /// Shared per-evaluation context: the suite, both schedulers, and the
-/// result-transparent profile caches.
-struct EvalCtx {
+/// caller's result-transparent profile caches.
+struct EvalCtx<'a> {
     suite: Suite,
     baseline: Baseline,
     scheduler: FarronScheduler,
-    suite_cache: SuiteProfileCache,
+    suite_cache: &'a SuiteProfileCache,
     unit_cache: Arc<ProfileCache>,
 }
 
-impl EvalCtx {
-    fn fresh() -> EvalCtx {
+impl EvalCtx<'_> {
+    fn new(suite_cache: &SuiteProfileCache, unit_cache: Arc<ProfileCache>) -> EvalCtx<'_> {
         EvalCtx {
             suite: Suite::standard(),
             baseline: Baseline::default(),
             scheduler: FarronScheduler::default(),
-            suite_cache: SuiteProfileCache::new(),
-            unit_cache: ProfileCache::shared(),
+            suite_cache,
+            unit_cache,
         }
     }
 }
@@ -144,7 +144,7 @@ fn eval_row(
     cfg: &EvalConfig,
     name: &'static str,
     mode: RoundMode<'_>,
-    ctx: &EvalCtx,
+    ctx: &EvalCtx<'_>,
 ) -> (EvalRow, AttritionStats) {
     let suite = &ctx.suite;
     let case = catalog::by_name(name).expect("catalog name");
@@ -316,13 +316,27 @@ fn eval_row(
     (row, attrition)
 }
 
-/// Runs the full evaluation.
+/// Runs the full evaluation on fresh profile caches.
 ///
 /// Processors are sharded across `cfg.threads` workers; each one's
 /// randomness is forked from its name and the shared caches are
 /// result-transparent, so the rows are identical for every thread count.
 pub fn evaluate(cfg: &EvalConfig) -> Vec<EvalRow> {
-    let ctx = EvalCtx::fresh();
+    evaluate_with(cfg, &SuiteProfileCache::new(), ProfileCache::shared())
+}
+
+/// [`evaluate`] with caller-owned profile caches, as
+/// [`analysis::study::run_deep_study_with`] is for the study: a process
+/// that also runs the study, or several evaluations, shares one suite
+/// cache and one unit cache so each profile is built once. Both caches
+/// are result-transparent, so the rows are bitwise identical with or
+/// without reuse.
+pub fn evaluate_with(
+    cfg: &EvalConfig,
+    suite_cache: &SuiteProfileCache,
+    unit_cache: Arc<ProfileCache>,
+) -> Vec<EvalRow> {
+    let ctx = EvalCtx::new(suite_cache, unit_cache);
     fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
         eval_row(cfg, name, RoundMode::Plain, &ctx).0
     })
@@ -460,7 +474,8 @@ pub fn eval_fingerprint(cfg: &EvalConfig, plan: &FaultPlan) -> Fingerprint {
     }
 }
 
-/// Runs the evaluation with every regular round exposed to `plan`:
+/// Runs the evaluation on the caller's profile caches (see
+/// [`evaluate_with`]) with every regular round exposed to `plan`:
 /// interrupted test windows are re-queued ([`run_plan_requeue`]), lost
 /// windows are dropped from coverage, and the aggregated attrition is
 /// returned alongside the rows (in [`EVAL_NAMES`] order).
@@ -483,8 +498,10 @@ pub fn evaluate_resumable(
     policy: &RetryPolicy,
     store: Option<&CheckpointStore>,
     resume: Option<&Checkpoint<EvalRowRecord>>,
+    suite_cache: &SuiteProfileCache,
+    unit_cache: Arc<ProfileCache>,
 ) -> Result<ResumableRun<(Vec<EvalRow>, AttritionStats)>, CheckpointError> {
-    let ctx = EvalCtx::fresh();
+    let ctx = EvalCtx::new(suite_cache, unit_cache);
     let snapshot = resume
         .cloned()
         .unwrap_or_else(|| Checkpoint::empty(eval_fingerprint(cfg, plan)));
@@ -607,6 +624,25 @@ mod tests {
         }
     }
 
+    /// [`evaluate_resumable`] on fresh caches.
+    fn resumable(
+        cfg: &EvalConfig,
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+        store: Option<&CheckpointStore>,
+        resume: Option<&Checkpoint<EvalRowRecord>>,
+    ) -> Result<ResumableRun<(Vec<EvalRow>, AttritionStats)>, CheckpointError> {
+        evaluate_resumable(
+            cfg,
+            plan,
+            policy,
+            store,
+            resume,
+            &SuiteProfileCache::new(),
+            ProfileCache::shared(),
+        )
+    }
+
     /// Unwraps a run that had no kill hook.
     fn completed(
         run: Result<ResumableRun<(Vec<EvalRow>, AttritionStats)>, CheckpointError>,
@@ -619,7 +655,7 @@ mod tests {
 
     #[test]
     fn quiet_chaos_eval_loses_nothing() {
-        let (rows, attrition) = completed(evaluate_resumable(
+        let (rows, attrition) = completed(resumable(
             &tiny_cfg(),
             &FaultPlan::default(),
             &RetryPolicy::default(),
@@ -645,13 +681,8 @@ mod tests {
         let fingerprint = eval_fingerprint(&cfg, &storm());
 
         let full_store = CheckpointStore::new(dir.join("full.json"), 1);
-        let (full_rows, full_att) = completed(evaluate_resumable(
-            &cfg,
-            &storm(),
-            &policy,
-            Some(&full_store),
-            None,
-        ));
+        let (full_rows, full_att) =
+            completed(resumable(&cfg, &storm(), &policy, Some(&full_store), None));
         assert_eq!(full_rows.len(), EVAL_NAMES.len());
         assert!(full_att.total_faults() > 0, "storm must interrupt something");
 
@@ -659,12 +690,12 @@ mod tests {
         let mut killer = CheckpointStore::new(dir.join("killed.json"), 1);
         killer.kill_after = Some(2);
         assert!(matches!(
-            evaluate_resumable(&cfg, &storm(), &policy, Some(&killer), None).unwrap(),
+            resumable(&cfg, &storm(), &policy, Some(&killer), None).unwrap(),
             ResumableRun::Interrupted
         ));
         let resume_store = CheckpointStore::new(dir.join("killed.json"), 1);
         let snapshot = Checkpoint::load(resume_store.path(), &fingerprint).unwrap();
-        let (rows, attrition) = completed(evaluate_resumable(
+        let (rows, attrition) = completed(resumable(
             &cfg,
             &storm(),
             &policy,
@@ -701,7 +732,7 @@ mod tests {
         let mut killer = CheckpointStore::new(dir.join("ck.json"), 1);
         killer.kill_after = Some(1);
         assert!(matches!(
-            evaluate_resumable(&cfg, &storm(), &policy, Some(&killer), None).unwrap(),
+            resumable(&cfg, &storm(), &policy, Some(&killer), None).unwrap(),
             ResumableRun::Interrupted
         ));
         let text = std::fs::read_to_string(killer.path()).unwrap();
@@ -722,7 +753,7 @@ mod tests {
         let mut foreign = snapshot.clone();
         foreign.items[0].name = "NOPE1".to_string();
         assert!(matches!(
-            evaluate_resumable(&cfg, &storm(), &policy, None, Some(&foreign)),
+            resumable(&cfg, &storm(), &policy, None, Some(&foreign)),
             Err(CheckpointError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).ok();

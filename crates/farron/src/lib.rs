@@ -39,7 +39,8 @@ pub use boundary::{AdaptiveBoundary, BoundaryAction};
 pub use capacity::{capacity_report, CapacityReport};
 pub use decommission::{DecommissionDecision, ReliablePool};
 pub use eval::{
-    eval_fingerprint, evaluate, evaluate_resumable, EvalConfig, EvalRow, EvalRowRecord,
+    eval_fingerprint, evaluate, evaluate_resumable, evaluate_with, EvalConfig, EvalRow,
+    EvalRowRecord,
 };
 pub use online::{simulate_online, AppProfile, ControlMode, OnlineConfig, OnlineReport};
 pub use priority::{PriorityBook, TestPriority};

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md): release build, the root test
-# suite, the parallel-determinism integration tests, and the benchmark
-# package (perfbench/) build and tests. Run from anywhere; exits non-zero
-# on the first failure.
+# suite, every workspace crate's tests in release, the bench regression
+# gates, the benchmark package (perfbench/) build and tests, and clippy.
+# CI runs this script as its only tier-1 step. Run from anywhere; exits
+# non-zero on the first failure.
 #
 #   --conform   additionally run the quick conformance gate
 #               (`repro conform --quick`, see EXPERIMENTS.md).
@@ -23,11 +24,11 @@ cargo build --release
 echo "== tier-1: root test suite =="
 cargo test -q
 
-echo "== tier-1: parallel determinism (threads=1 vs threads=8) =="
-cargo test -q --release --test parallel_determinism
-
-echo "== tier-1: chaos determinism (storm + kill/resume) =="
-cargo test -q --release --test chaos_determinism
+# Every crate's tests, in release; this includes the root package's
+# parallel-determinism (threads=1 vs threads=8) and chaos-determinism
+# (storm + kill/resume) suites.
+echo "== tier-1: workspace tests (every crate, release) =="
+cargo test --workspace -q --release
 
 echo "== tier-1: chaos smoke run (--quick --chaos) =="
 ck="$(mktemp -u "${TMPDIR:-/tmp}/tier1-chaos-XXXXXX.json")"

@@ -10,7 +10,12 @@
 //! encoded as the `fleet::Stage` lifecycle and `farron::StateMachine`;
 //! `ext` prints the §4.2/§5/§6.2 extensions: suspect localization,
 //! cooling-device control, asymmetric coding, fail-in-place capacity).
-//! `--quick` shrinks durations for a fast smoke pass.
+//! `--quick` shrinks durations for a fast smoke pass. `conform` runs the
+//! conformance gate.
+//!
+//! One process, one session: the fleet campaign, the deep study and the
+//! Farron evaluation of each config run at most once, on one set of
+//! profile caches, however many artifacts and the gate read them.
 //!
 //! Operational robustness: `--chaos <spec>` exposes the campaign
 //! (table1/table2) and the Farron evaluation (table4/fig11) to a seeded
@@ -18,34 +23,69 @@
 //! killed run can continue with `--resume <path>`, bitwise identical to
 //! an uninterrupted run.
 
-use analysis::study::{run_deep_study, StudyData};
+use analysis::study::{run_deep_study_with, StudyData};
 use analysis::{
     bitflips, casebook, datatypes, features, observations, precision, reproducibility, temperature,
     AttritionReport,
 };
-use conformance::metrics::{campaign_config, study_config};
-use farron::eval::{evaluate, evaluate_resumable, EvalConfig};
+use conformance::metrics::{campaign_config, eval_config, study_config, table4_config};
+use farron::eval::{evaluate_resumable, evaluate_with, EvalConfig, EvalRow};
 use fleet::{
     campaign_fingerprint, run_campaign, run_campaign_resumable, CampaignOutcome, Checkpoint,
-    CheckpointStore, FaultPlan, FleetPopulation, ResumableRun, RetryPolicy,
+    CheckpointStore, FaultPlan, FleetPopulation, ResumableRun, RetryPolicy, SuiteProfileCache,
 };
 use sdc_model::{DataType, Duration};
+use std::cell::RefCell;
 use std::path::PathBuf;
-use toolchain::Suite;
+use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
+use toolchain::{ProfileCache, Suite};
 
-/// Everything `repro` accepts after its own name. `conform` is the
-/// conformance gate (golden statistics + metamorphic invariants +
-/// differential oracle); it is deliberately *not* part of `all` — it
-/// re-runs the same campaigns the other artifacts print.
-const ARTIFACTS: &[&str] = &[
-    "all", "table1", "table2", "table3", "table4", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-    "fig8", "fig9", "fig11", "obs", "ftol", "ext", "conform",
+/// The names that select the fleet campaign's artifacts (Tables 1–2).
+const CAMPAIGN: &[&str] = &["table1", "table2"];
+/// The names that select the Farron evaluation's artifacts.
+const EVAL: &[&str] = &["table4", "fig11"];
+/// The conformance gate (golden statistics + metamorphic invariants +
+/// differential oracle). It is deliberately *not* part of `all`: its
+/// verdict maps to the exit code. It reads the session's campaign,
+/// study and evaluation, so after other artifacts it re-runs none of
+/// them.
+const CONFORM: &str = "conform";
+
+/// Prints the artifacts of one [`ARTIFACTS`] row.
+type Printer = fn(&Session);
+
+/// Every artifact `repro` prints, in print order, with the names that
+/// select it (`all` selects every row). Each printer reads the
+/// [`Session`], so a campaign, study or evaluation that several rows
+/// (or the gate) need runs once.
+const ARTIFACTS: &[(&[&str], Printer)] = &[
+    (CAMPAIGN, table1_and_2),
+    (&["table3"], table3),
+    (&["fig2"], fig2),
+    (&["fig3"], fig3),
+    (&["fig4", "fig5"], fig4_and_5),
+    (&["fig6", "fig7"], fig6_and_7),
+    (&["fig8"], fig8),
+    (&["fig9"], fig9),
+    (&["obs"], observations_summary),
+    (EVAL, table4_and_fig11),
+    (&["ftol"], ftol_audit),
+    (&["ext"], extensions),
 ];
+
+/// Every name `repro` accepts as an artifact.
+fn artifact_names() -> impl Iterator<Item = &'static str> {
+    let rows = ARTIFACTS
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied());
+    std::iter::once("all").chain(rows).chain([CONFORM])
+}
 
 /// Campaign items between checkpoint snapshots.
 const CHECKPOINT_EVERY: usize = 64;
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Opts {
     quick: bool,
     threads: usize,
@@ -56,6 +96,19 @@ struct Opts {
     artifacts: Vec<String>,
 }
 
+impl Opts {
+    /// Whether any of `names` was requested, by name or through `all`.
+    fn wants(&self, names: &[&str]) -> bool {
+        self.artifacts
+            .iter()
+            .any(|a| a == "all" || names.contains(&a.as_str()))
+    }
+
+    fn wants_conform(&self) -> bool {
+        self.artifacts.iter().any(|a| a == CONFORM)
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum Parsed {
     Run(Opts),
@@ -63,60 +116,35 @@ enum Parsed {
 }
 
 /// Strict argument parser: unknown flags and unknown artifact names are
-/// errors (the caller exits nonzero), never silently collected.
+/// errors (the caller exits nonzero), never silently collected, and so
+/// is a flag that no requested artifact reads.
 fn parse_args(args: &[String]) -> Result<Parsed, String> {
-    let mut opts = Opts {
-        quick: false,
-        threads: 0,
-        chaos: None,
-        checkpoint: None,
-        resume: None,
-        write_golden: None,
-        artifacts: Vec::new(),
-    };
+    let mut opts = Opts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |what: &str| it.next().ok_or_else(|| format!("{arg} needs {what}"));
         match arg.as_str() {
             "--quick" => opts.quick = true,
             "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--threads needs a value".to_string())?;
+                let v = value("a value")?;
                 opts.threads = v
                     .parse()
                     .map_err(|_| format!("--threads needs an unsigned integer, got '{v}'"))?;
             }
             "--chaos" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--chaos needs a fault-plan spec".to_string())?;
-                opts.chaos = Some(FaultPlan::parse(v).map_err(|e| format!("--chaos: {e}"))?);
+                let plan = FaultPlan::parse(value("a fault-plan spec")?);
+                opts.chaos = Some(plan.map_err(|e| format!("--chaos: {e}"))?);
             }
-            "--checkpoint" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--checkpoint needs a path".to_string())?;
-                opts.checkpoint = Some(PathBuf::from(v));
-            }
-            "--resume" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--resume needs a path".to_string())?;
-                opts.resume = Some(PathBuf::from(v));
-            }
-            "--write-golden" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--write-golden needs a path".to_string())?;
-                opts.write_golden = Some(PathBuf::from(v));
-            }
+            "--checkpoint" => opts.checkpoint = Some(value("a path")?.into()),
+            "--resume" => opts.resume = Some(value("a path")?.into()),
+            "--write-golden" => opts.write_golden = Some(value("a path")?.into()),
             "--help" | "-h" => return Ok(Parsed::Help),
             other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
             other => {
-                if !ARTIFACTS.contains(&other) {
+                if !artifact_names().any(|name| name == other) {
                     return Err(format!(
                         "unknown artifact '{other}' (expected one of: {})",
-                        ARTIFACTS.join(" ")
+                        artifact_names().collect::<Vec<_>>().join(" ")
                     ));
                 }
                 opts.artifacts.push(other.to_string());
@@ -125,6 +153,15 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
     }
     if opts.artifacts.is_empty() {
         opts.artifacts.push("all".to_string());
+    }
+    if opts.write_golden.is_some() && !opts.wants_conform() {
+        return Err("--write-golden is only read by `conform`".to_string());
+    }
+    if (opts.checkpoint.is_some() || opts.resume.is_some()) && !opts.wants(CAMPAIGN) {
+        return Err("--checkpoint and --resume are only read by table1, table2 or all".to_string());
+    }
+    if opts.chaos.is_some() && !opts.wants(CAMPAIGN) && !opts.wants(EVAL) {
+        return Err("--chaos is only read by table1, table2, table4, fig11 or all".to_string());
     }
     Ok(Parsed::Run(opts))
 }
@@ -144,27 +181,66 @@ fn usage() -> String {
          \x20                    (also keeps snapshotting there unless --checkpoint is given)\n\
          \x20 --write-golden PATH  with `conform`: re-measure the current mode's metrics\n\
          \x20                    and rewrite the golden file at PATH instead of gating",
-        ARTIFACTS.join("|")
+        artifact_names().collect::<Vec<_>>().join("|")
     )
 }
 
-/// Lazily shared expensive inputs.
-struct Lazy {
-    quick: bool,
-    threads: usize,
+/// One `repro` process: the options, the suite and both profile caches,
+/// built once. Each computation behind the artifacts — the plain fleet
+/// campaign, the deep study, the Farron evaluation of each distinct
+/// config — runs at most once, on those caches, however many artifacts
+/// (and the gate) read it. Unit profiles are pure in their key, so
+/// sharing the caches changes no result. Supervised runs (`--chaos`,
+/// `--checkpoint`, `--resume`) are not memoized.
+#[derive(Default)]
+struct Session {
+    opts: Opts,
     suite: Suite,
-    study: Option<StudyData>,
+    suite_cache: SuiteProfileCache,
+    unit_cache: Arc<ProfileCache>,
+    campaign: OnceLock<CampaignOutcome>,
+    study: OnceLock<StudyData>,
+    evals: RefCell<Vec<(EvalConfig, Rc<[EvalRow]>)>>,
 }
 
-impl Lazy {
-    fn study(&mut self) -> &StudyData {
-        if self.study.is_none() {
+impl Session {
+    /// The unsupervised campaign behind Tables 1–2.
+    fn campaign(&self) -> &CampaignOutcome {
+        self.campaign.get_or_init(|| {
+            let cfg = campaign_config(self.opts.quick, self.opts.threads);
+            eprintln!(
+                "[repro] running the fleet campaign over {} CPUs…",
+                cfg.total_cpus
+            );
+            run_campaign(&cfg, &self.suite)
+        })
+    }
+
+    /// The 27-processor deep study.
+    fn study(&self) -> &StudyData {
+        self.study.get_or_init(|| {
             eprintln!("[repro] running the 27-processor deep study…");
-            self.study = Some(run_deep_study(&study_config(self.quick, self.threads)));
+            run_deep_study_with(
+                &study_config(self.opts.quick, self.opts.threads),
+                &self.suite_cache,
+                Arc::clone(&self.unit_cache),
+            )
+        })
+    }
+
+    /// The rows of an unsupervised Farron evaluation of `cfg`.
+    fn eval(&self, cfg: &EvalConfig) -> Rc<[EvalRow]> {
+        if let Some((_, rows)) = self.evals.borrow().iter().find(|(c, _)| c == cfg) {
+            return Rc::clone(rows);
         }
-        self.study
-            .as_ref()
-            .expect("invariant violated: the study is populated by the branch above")
+        eprintln!(
+            "[repro] running the Farron evaluation (rounds = {})…",
+            cfg.rounds
+        );
+        let rows: Rc<[EvalRow]> =
+            evaluate_with(cfg, &self.suite_cache, Arc::clone(&self.unit_cache)).into();
+        self.evals.borrow_mut().push((*cfg, Rc::clone(&rows)));
+        rows
     }
 }
 
@@ -172,17 +248,18 @@ fn hr(title: &str) {
     println!("\n==== {title} ====");
 }
 
-fn table1_and_2(lazy: &Lazy, opts: &Opts) {
-    let cfg = campaign_config(lazy.quick, lazy.threads);
+fn table1_and_2(s: &Session) {
+    let opts = &s.opts;
+    let supervised = opts.chaos.is_some() || opts.checkpoint.is_some() || opts.resume.is_some();
+    if !supervised {
+        print_tables_1_2(s.campaign());
+        return;
+    }
+    let cfg = campaign_config(opts.quick, opts.threads);
     eprintln!(
         "[repro] running the fleet campaign over {} CPUs…",
         cfg.total_cpus
     );
-    let supervised = opts.chaos.is_some() || opts.checkpoint.is_some() || opts.resume.is_some();
-    if !supervised {
-        print_tables_1_2(&run_campaign(&cfg, &lazy.suite));
-        return;
-    }
 
     let plan = opts.chaos.unwrap_or_default();
     let policy = RetryPolicy::default();
@@ -212,7 +289,7 @@ fn table1_and_2(lazy: &Lazy, opts: &Opts) {
     let pop = FleetPopulation::sample(&cfg);
     match run_campaign_resumable(
         &cfg,
-        &lazy.suite,
+        &s.suite,
         &pop,
         &plan,
         &policy,
@@ -265,8 +342,8 @@ fn print_tables_1_2(out: &CampaignOutcome) {
     }
 }
 
-fn table3(lazy: &mut Lazy) {
-    let study = lazy.study();
+fn table3(s: &Session) {
+    let study = s.study();
     hr("Table 3 — faulty-processor case studies (measured)");
     println!(
         "{:<7} {:<5} {:>6} {:>7} {:>5}  {:<12} impacted datatypes",
@@ -289,25 +366,24 @@ fn table3(lazy: &mut Lazy) {
     }
 }
 
-fn fig2(lazy: &mut Lazy) {
-    let suite = lazy.suite.clone();
-    let study = lazy.study();
+fn fig2(s: &Session) {
+    let study = s.study();
     hr("Figure 2 — proportion of processors with a faulty feature");
-    for share in features::figure2(study, &suite) {
+    for share in features::figure2(study, &s.suite) {
         println!("{:<8} {:>6.3}", share.feature.label(), share.proportion);
     }
 }
 
-fn fig3(lazy: &mut Lazy) {
-    let study = lazy.study();
+fn fig3(s: &Session) {
+    let study = s.study();
     hr("Figure 3 — proportion of processors per affected datatype");
     for share in datatypes::figure3(study) {
         println!("{:<6} {:>6.3}", share.datatype.label(), share.proportion);
     }
 }
 
-fn fig4_and_5(lazy: &mut Lazy) {
-    let study = lazy.study();
+fn fig4_and_5(s: &Session) {
+    let study = s.study();
     let corpus = analysis::RecordCorpus::collect(study.all_records());
     hr("Figure 4(a–d) — bitflip positions (share per bit, 0→1 / 1→0)");
     for dt in [DataType::I32, DataType::F32, DataType::F64, DataType::F64X] {
@@ -367,8 +443,8 @@ fn fig4_and_5(lazy: &mut Lazy) {
     }
 }
 
-fn fig6_and_7(lazy: &mut Lazy) {
-    let study = lazy.study();
+fn fig6_and_7(s: &Session) {
+    let study = s.study();
     let corpus = analysis::RecordCorpus::collect(study.all_records());
     hr("Figure 6 — share of SDCs matching a bitflip pattern, per setting");
     let all_mined = corpus.mine_patterns();
@@ -404,9 +480,9 @@ fn fig6_and_7(lazy: &mut Lazy) {
     }
 }
 
-fn fig8(lazy: &Lazy) {
+fn fig8(s: &Session) {
     hr("Figure 8 — log10(frequency) vs temperature");
-    let window = if lazy.quick {
+    let window = if s.opts.quick {
         Duration::from_mins(10)
     } else {
         Duration::from_mins(60)
@@ -442,27 +518,13 @@ fn fig8(lazy: &Lazy) {
         let processor = silicon::catalog::by_name(name)
             .expect("invariant violated: figure 8 panels name catalog processors")
             .processor;
-        let defect = processor.defects[didx].clone();
-        let core = core.unwrap_or_else(|| {
-            (0..processor.physical_cores)
-                .max_by(|&a, &b| {
-                    defect
-                        .rate(a, 70.0)
-                        .partial_cmp(&defect.rate(b, 70.0))
-                        .expect("invariant violated: defect rates are finite")
-                })
-                .unwrap_or(0)
-        });
-        let tc = lazy
-            .suite
-            .testcases()
-            .iter()
-            .filter(|t| t.name.starts_with(prefix))
-            .find(|t| defect.applies_to(t.id))
-            .expect("invariant violated: every figure 8 panel defect matches a suite testcase")
-            .id;
+        let (hottest, tc) =
+            temperature::panel_setting(&processor, &processor.defects[didx], &s.suite, prefix);
+        let core = core.unwrap_or(hottest);
+        let tc =
+            tc.expect("invariant violated: every figure 8 panel defect matches a suite testcase");
         let sweep =
-            temperature::temperature_sweep(&processor, &lazy.suite, tc, core, &temps, window, 88);
+            temperature::temperature_sweep(&processor, &s.suite, tc, core, &temps, window, 88);
         let pts: Vec<String> = sweep
             .points
             .iter()
@@ -480,17 +542,10 @@ fn fig8(lazy: &Lazy) {
     }
 }
 
-fn fig9(lazy: &mut Lazy) {
-    let suite = lazy.suite.clone();
-    let quick = lazy.quick;
-    let study = lazy.study();
+fn fig9(s: &Session) {
+    let study = s.study();
     hr("Figure 9 — min triggering temperature vs frequency at threshold");
-    let grid: Vec<f64> = (46..=80).step_by(2).map(f64::from).collect();
-    let window = if quick {
-        Duration::from_mins(10)
-    } else {
-        Duration::from_mins(30)
-    };
+    let (grid, window) = temperature::figure9_scan(s.opts.quick);
     let mut points = Vec::new();
     for case in &study.cases {
         // Up to two settings per processor keep the scan tractable; pick
@@ -515,7 +570,7 @@ fn fig9(lazy: &mut Lazy) {
         for (core, tc) in picked {
             if let Some(p) = temperature::min_trigger_temp(
                 &case.processor,
-                &suite,
+                &s.suite,
                 tc,
                 core,
                 &grid,
@@ -543,31 +598,34 @@ fn fig9(lazy: &mut Lazy) {
     }
 }
 
-fn table4_and_fig11(lazy: &Lazy, opts: &Opts) {
-    eprintln!("[repro] running the Farron evaluation…");
-    let cfg = EvalConfig {
-        reference_per_testcase: if lazy.quick {
-            Duration::from_mins(3)
-        } else {
-            Duration::from_mins(10)
-        },
-        rounds: if lazy.quick { 2 } else { 4 },
-        threads: lazy.threads,
-        ..EvalConfig::default()
-    };
-    let (rows, attrition) = match &opts.chaos {
-        Some(plan) => match evaluate_resumable(&cfg, plan, &RetryPolicy::default(), None, None) {
-            Ok(ResumableRun::Completed((rows, attrition))) => (rows, Some(attrition)),
-            _ => unreachable!("invariant violated: without a store nothing can fail or interrupt"),
-        },
-        None => (evaluate(&cfg), None),
+fn table4_and_fig11(s: &Session) {
+    let cfg = table4_config(s.opts.quick, s.opts.threads);
+    let (rows, attrition) = match &s.opts.chaos {
+        Some(plan) => {
+            eprintln!("[repro] running the Farron evaluation…");
+            match evaluate_resumable(
+                &cfg,
+                plan,
+                &RetryPolicy::default(),
+                None,
+                None,
+                &s.suite_cache,
+                Arc::clone(&s.unit_cache),
+            ) {
+                Ok(ResumableRun::Completed((rows, attrition))) => (rows.into(), Some(attrition)),
+                _ => unreachable!(
+                    "invariant violated: without a store nothing can fail or interrupt"
+                ),
+            }
+        }
+        None => (s.eval(&cfg), None),
     };
     hr("Figure 11 — one-round regular-testing coverage");
     println!(
         "{:<7} {:>7} {:>9} {:>9}",
         "CPU", "known", "Farron", "Baseline"
     );
-    for r in &rows {
+    for r in rows.iter() {
         println!(
             "{:<7} {:>7} {:>9.3} {:>9.3}",
             r.name, r.known_errors, r.farron_coverage, r.baseline_coverage
@@ -578,7 +636,7 @@ fn table4_and_fig11(lazy: &Lazy, opts: &Opts) {
         "{:<7} {:>10} {:>10} {:>10} {:>10}  {:>12}",
         "CPU", "F-test%", "F-ctrl%", "F-total%", "Base%", "backoff s/h"
     );
-    for r in &rows {
+    for r in rows.iter() {
         println!(
             "{:<7} {:>10.3} {:>10.3} {:>10.3} {:>10.3}  {:>12.3}",
             r.name,
@@ -602,9 +660,8 @@ fn table4_and_fig11(lazy: &Lazy, opts: &Opts) {
     }
 }
 
-fn observations_summary(lazy: &mut Lazy) {
-    let suite = lazy.suite.clone();
-    let study = lazy.study();
+fn observations_summary(s: &Session) {
+    let study = s.study();
     hr("Observations 4–11 (measured)");
     let scope = observations::obs4_scope(study);
     println!(
@@ -628,31 +685,26 @@ fn observations_summary(lazy: &mut Lazy) {
         repro.max,
         repro.share_above_one_per_min * 100.0
     );
-    let eff = observations::obs11_effectiveness(study, &suite);
+    let eff = observations::obs11_effectiveness(study, &s.suite);
     println!(
         "Obs 11: {} of {} testcases never detected anything (paper: 560 of 633)",
         eff.ineffective, eff.suite_size
     );
 }
 
-fn extensions(lazy: &mut Lazy) {
-    let suite = lazy.suite.clone();
+fn extensions(s: &Session) {
+    let suite = &s.suite;
     hr("Extensions — §4.1 suspect localization");
     {
         use analysis::suspects::{localizes, rank_suspects, LOCALIZE_MIN_SCORE};
-        use fleet::screening::StaticSuiteProfile;
-        let study = lazy.study();
-        let mut cache: std::collections::HashMap<usize, StaticSuiteProfile> =
-            std::collections::HashMap::new();
+        let study = s.study();
         for name in ["MIX1", "SIMD1", "FPU1", "FPU2", "CNST1", "CNST2"] {
             let Some(case) = study.case(name) else {
                 continue;
             };
             let cores = case.processor.physical_cores as usize;
-            let profiles = cache
-                .entry(cores)
-                .or_insert_with(|| StaticSuiteProfile::build(&suite, cores));
-            let suspects = rank_suspects(case, &suite, profiles);
+            let profiles = s.suite_cache.get_or_build(suite, cores, s.opts.threads);
+            let suspects = rank_suspects(case, suite, &profiles);
             match suspects.first() {
                 Some(top) if localizes(&suspects, LOCALIZE_MIN_SCORE) => println!(
                     "{name:<6}: suspect {:?}/{} (score {:.1})",
@@ -698,14 +750,9 @@ fn extensions(lazy: &mut Lazy) {
         let mix1 = silicon::catalog::by_name("MIX1")
             .expect("invariant violated: MIX1 is a catalog processor")
             .processor;
-        let tricky = mix1.defects[1].clone();
-        let tc = suite
-            .testcases()
-            .iter()
-            .filter(|t| t.name.starts_with("fpu/f64/fam2"))
-            .find(|t| tricky.applies_to(t.id))
-            .expect("invariant violated: MIX1's tricky defect matches a suite workload")
-            .id;
+        let tc = temperature::panel_setting(&mix1, &mix1.defects[1], suite, "fpu/f64/fam2")
+            .1
+            .expect("invariant violated: MIX1's tricky defect matches a suite workload");
         let app = AppProfile {
             testcase: tc,
             utilization: 0.5,
@@ -719,11 +766,11 @@ fn extensions(lazy: &mut Lazy) {
             ..OnlineConfig::default()
         };
         let mut rng = DetRng::new(51);
-        let b = simulate_online(&mix1, &suite, &app, &cores, &cfg, &mut rng);
+        let b = simulate_online(&mix1, suite, &app, &cores, &cfg, &mut rng);
         let mut rng = DetRng::new(51);
         let c = simulate_online(
             &mix1,
-            &suite,
+            suite,
             &app,
             &cores,
             &OnlineConfig {
@@ -760,42 +807,25 @@ fn extensions(lazy: &mut Lazy) {
     }
 }
 
-/// Streams the differential oracle sweeps in each mode. Quick mode is
-/// the CI gate floor from the issue (≥ 10k defect-free streams).
-fn conform_streams(quick: bool) -> u64 {
-    if quick {
-        10_000
-    } else {
-        50_000
-    }
-}
-
 /// The conformance gate: golden statistics, metamorphic invariants and
 /// the differential softcore oracle. Returns `false` when anything
 /// failed (the caller exits nonzero).
-fn conform(opts: &Opts) -> bool {
+fn conform(s: &Session) -> bool {
     use conformance::{golden, metamorphic, oracle};
 
+    let opts = &s.opts;
     let mode = if opts.quick { "quick" } else { "full" };
     hr(&format!("Conformance gate ({mode} mode)"));
-    let measured = conformance::collect_metrics(opts.quick, opts.threads, |stage| {
-        eprintln!("[repro] conform: {stage}…");
-    });
+    let (campaign, study) = (s.campaign(), s.study());
+    let rows = s.eval(&eval_config(opts.quick, opts.threads));
+    eprintln!("[repro] conform: temperature sweep (figures 8-9, MIX1 panel)…");
+    let measured = conformance::collect_metrics(campaign, study, &rows, &s.suite, opts.quick);
 
     if let Some(path) = &opts.write_golden {
-        let existing = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| golden::parse_golden(&text).ok());
-        let mut file = existing.unwrap_or(golden::GoldenFile {
-            version: 1,
-            sets: Vec::new(),
-        });
-        let set = golden::regenerate(file.set(mode), mode, &measured);
-        file.sets.retain(|s| s.mode != mode);
-        file.sets.push(set);
-        file.sets.sort_by(|a, b| a.mode.cmp(&b.mode));
-        if let Err(e) = std::fs::write(path, golden::render_golden(&file)) {
-            eprintln!("repro: cannot write {}: {e}", path.display());
+        let written = golden::merge_golden(path, mode, &measured)
+            .and_then(|file| std::fs::write(path, golden::render_golden(&file)));
+        if let Err(e) = written {
+            eprintln!("repro: cannot update {}: {e}", path.display());
             return false;
         }
         println!(
@@ -830,7 +860,8 @@ fn conform(opts: &Opts) -> bool {
         ok &= inv.pass;
     }
 
-    let streams = conform_streams(opts.quick);
+    // Quick mode is the CI gate floor (≥ 10k defect-free streams).
+    let streams = if opts.quick { 10_000 } else { 50_000 };
     eprintln!("[repro] conform: differential oracle ({streams} streams)…");
     hr("Differential softcore oracle");
     let sweep = oracle::sweep(streams, opts.threads, &oracle::OracleConfig::default());
@@ -856,7 +887,7 @@ fn conform(opts: &Opts) -> bool {
     ok
 }
 
-fn ftol_audit() {
+fn ftol_audit(_: &Session) {
     hr("Observation 12 — fault-tolerance techniques vs CPU SDCs");
     println!(
         "{:<24} {:>12} {:>12} {:>12} {:>10}",
@@ -888,52 +919,18 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut lazy = Lazy {
-        quick: opts.quick,
-        threads: opts.threads,
-        suite: Suite::standard(),
-        study: None,
+    // Every printer, then the gate, reads the one session: nothing that
+    // two of them share runs twice.
+    let session = Session {
+        opts,
+        ..Session::default()
     };
-    let want = |name: &str| opts.artifacts.iter().any(|a| a == name || a == "all");
-    if want("table1") || want("table2") {
-        table1_and_2(&lazy, &opts);
+    for (names, print) in ARTIFACTS {
+        if session.opts.wants(names) {
+            print(&session);
+        }
     }
-    if want("table3") {
-        table3(&mut lazy);
-    }
-    if want("fig2") {
-        fig2(&mut lazy);
-    }
-    if want("fig3") {
-        fig3(&mut lazy);
-    }
-    if want("fig4") || want("fig5") {
-        fig4_and_5(&mut lazy);
-    }
-    if want("fig6") || want("fig7") {
-        fig6_and_7(&mut lazy);
-    }
-    if want("fig8") {
-        fig8(&lazy);
-    }
-    if want("fig9") {
-        fig9(&mut lazy);
-    }
-    if want("obs") {
-        observations_summary(&mut lazy);
-    }
-    if want("table4") || want("fig11") {
-        table4_and_fig11(&lazy, &opts);
-    }
-    if want("ftol") {
-        ftol_audit();
-    }
-    if want("ext") {
-        extensions(&mut lazy);
-    }
-    // Not part of `all`: the gate re-runs the same campaigns the other
-    // artifacts print, and its verdict must map to the exit code.
-    if opts.artifacts.iter().any(|a| a == "conform") && !conform(&opts) {
+    if session.opts.wants_conform() && !conform(&session) {
         std::process::exit(1);
     }
     println!(
@@ -1012,6 +1009,26 @@ mod tests {
         assert!(parse_args(&args(&["--chaos", "gremlins=0.5"])).is_err());
         assert!(parse_args(&args(&["--checkpoint"])).is_err());
         assert!(parse_args(&args(&["--resume"])).is_err());
+        // A flag that no requested artifact reads is an error too.
+        for raw in [
+            &["--write-golden", "g.json"][..],
+            &["table1", "--write-golden", "g.json"],
+            &["table3", "--checkpoint", "ck.json"],
+            &["table4", "--resume", "ck.json"],
+            &["conform", "--checkpoint", "ck.json"],
+            &["fig8", "--chaos", "offline=0.05"],
+            &["conform", "--chaos", "offline=0.05"],
+        ] {
+            assert!(parse_args(&args(raw)).is_err(), "{raw:?} must be rejected");
+        }
+        for raw in [
+            &["--checkpoint", "ck.json"][..],
+            &["table2", "--resume", "ck.json"],
+            &["fig11", "--chaos", "offline=0.05"],
+            &["conform", "table4", "--chaos", "offline=0.05"],
+        ] {
+            assert!(parse_args(&args(raw)).is_ok(), "{raw:?} must be accepted");
+        }
     }
 
     #[test]
