@@ -69,29 +69,20 @@ impl DetRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Fills `out` with exactly the values that `out.len()` successive
-    /// [`Self::below`]`(n)` calls return, and leaves the stream where
-    /// those calls leave it.
+    /// One attempt of [`Self::below`]'s rejection loop: draws one word
+    /// and returns the candidate, always in `[0, n)`, and whether `below`
+    /// accepts it. Repeating the attempt until it accepts returns exactly
+    /// what `below(n)` returns and leaves the stream where `below` leaves
+    /// it (same widening multiply and rejection zone as rand's Lemire
+    /// sampler).
     ///
-    /// Same widening multiply and rejection zone as `below` (rand's
-    /// Lemire sampler), with the rejection turned into an index
-    /// increment: a rejected draw is overwritten by the next one, so the
-    /// loop has no data-dependent branch. A caller that consumes only the
-    /// first `m` values restores a clone taken before the call and calls
-    /// this again on `out[..m]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn fill_below(&mut self, n: u64, out: &mut [u64]) {
-        assert!(n > 0, "fill_below(0)");
+    /// `n` must be positive.
+    #[inline]
+    pub fn try_below(&mut self, n: u64) -> (u64, bool) {
+        debug_assert!(n > 0, "try_below(0)");
         let zone = (n << n.leading_zeros()).wrapping_sub(1);
-        let mut i = 0;
-        while let Some(slot) = out.get_mut(i) {
-            let wide = u128::from(self.inner.next_u64()) * u128::from(n);
-            *slot = (wide >> 64) as u64;
-            i += usize::from(wide as u64 <= zone);
-        }
+        let wide = u128::from(self.inner.next_u64()) * u128::from(n);
+        ((wide >> 64) as u64, wide as u64 <= zone)
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -390,46 +381,31 @@ mod tests {
         }
     }
 
-    /// `fill_below` must return the same values as repeated `below` AND
-    /// leave the stream in the same state, for every small bound (powers
-    /// of two, where about half the draws are rejected, included) and
-    /// buffer length; a restore-and-regenerate of a consumed prefix must
-    /// land where that many `below` calls do.
+    /// Repeating `try_below` until it accepts must return the same values
+    /// as `below` AND leave the stream in the same state, for every small
+    /// bound (powers of two, where about half the draws are rejected,
+    /// included) and for large bounds, where rejections are rare or
+    /// frequent.
     #[test]
-    fn fill_below_is_draw_equivalent() {
-        let mut buf = [0u64; 300];
-        for n in 1..=65u64 {
+    fn try_below_until_accepted_is_below() {
+        let until_accepted = |r: &mut DetRng, n: u64| loop {
+            let (candidate, accepted) = r.try_below(n);
+            assert!(candidate < n, "n {n}");
+            if accepted {
+                return candidate;
+            }
+        };
+        let bounds = (1..=65u64).chain([u64::MAX, 1 << 63, (1 << 63) + 1, 3 << 40]);
+        for n in bounds {
             for len in [0usize, 1, 2, 3, 7, 64, 255, 256, 300] {
-                let seed = n * 1000 + len as u64;
+                let seed = n.wrapping_mul(1000) ^ len as u64;
                 let mut a = DetRng::new(seed);
                 let mut b = DetRng::new(seed);
-                let expect: Vec<u64> = (0..len).map(|_| a.below(n)).collect();
-                b.fill_below(n, &mut buf[..len]);
-                assert_eq!(buf[..len], expect[..], "n {n} len {len}");
+                for i in 0..len {
+                    assert_eq!(a.below(n), until_accepted(&mut b, n), "n {n} draw {i}");
+                }
                 assert_eq!(a.next_u64(), b.next_u64(), "n {n} len {len}");
             }
-            for m in [0usize, 1, 5, 100, 255] {
-                let seed = n ^ 0xbeef;
-                let mut a = DetRng::new(seed);
-                let mut b = DetRng::new(seed);
-                let snapshot = b.clone();
-                b.fill_below(n, &mut buf[..256]);
-                b = snapshot;
-                b.fill_below(n, &mut buf[..m]);
-                for _ in 0..m {
-                    a.below(n);
-                }
-                assert_eq!(a.next_u64(), b.next_u64(), "resync n {n} m {m}");
-            }
-        }
-        // Large bounds, where rejections are rare or frequent.
-        for n in [u64::MAX, 1 << 63, (1 << 63) + 1, 3 << 40] {
-            let mut a = DetRng::new(n);
-            let mut b = DetRng::new(n);
-            let expect: Vec<u64> = (0..100).map(|_| a.below(n)).collect();
-            b.fill_below(n, &mut buf[..100]);
-            assert_eq!(buf[..100], expect[..], "n {n}");
-            assert_eq!(a.next_u64(), b.next_u64(), "n {n}");
         }
     }
 

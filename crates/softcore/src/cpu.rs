@@ -569,7 +569,8 @@ impl Core {
     /// program order — f64 addition is not associative, so the energy sum
     /// is never folded. At the body start of a closed-form loop (see
     /// `DecodedOp::closed_iter`) the whole iterations the run covers are
-    /// jumped at once by [`Core::jump_iterations`].
+    /// jumped at once by [`Core::jump_iterations`], whose energy adds
+    /// [`repeat_adds`] closes per binade with the same bits.
     pub(crate) fn exec_local_run(
         &mut self,
         prog: &DecodedProgram,
@@ -584,8 +585,8 @@ impl Core {
                 .op(self.pc)
                 .expect("a local run stays inside the program");
             if op.closed_iter != NO_CLOSED_FORM {
-                let iteration = prog.iteration(self.pc, op.closed_iter);
-                let jumped = self.jump_iterations(iteration, left, usage, cycles, energy);
+                let (iteration, adds) = prog.iteration(self.pc, op.closed_iter);
+                let jumped = self.jump_iterations(iteration, adds, left, usage, cycles, energy);
                 if jumped > 0 {
                     left -= jumped;
                     continue;
@@ -601,16 +602,18 @@ impl Core {
 
     /// Executes in closed form the `k` whole iterations of a register-free
     /// flat loop that fit in `n` steps, where `iteration` is the loop's
-    /// body plus its `LoopEnd` and the core stands at the body start. `k`
-    /// stops one short of the loop's last iteration, so the back-edge is
-    /// taken every time and the core ends where it started: only the loop
-    /// counter, usage and cycles change, by `k` times one iteration's
-    /// share. The energy adds still run one per op in program order (f64
-    /// addition is not associative). Returns the steps jumped, `0` when no
-    /// whole iteration fits.
+    /// body plus its `LoopEnd`, `adds` their energies, and the core stands
+    /// at the body start. `k` stops one short of the loop's last
+    /// iteration, so the back-edge is taken every time and the core ends
+    /// where it started: only the loop counter, usage, cycles and energy
+    /// change. Counter, usage and cycles move by `k` times one
+    /// iteration's share; the energy sum moves by [`repeat_adds`], the
+    /// bits of `k · len` adds in program order. Returns the steps jumped,
+    /// `0` when no whole iteration fits.
     fn jump_iterations(
         &mut self,
         iteration: &[DecodedOp],
+        adds: &[f64],
         n: u64,
         usage: &mut UsageCounters,
         cycles: &mut u64,
@@ -635,13 +638,7 @@ impl Core {
             iteration_cycles += op.cycles;
         }
         *cycles += k * iteration_cycles;
-        let mut e = *energy;
-        for _ in 0..k {
-            for op in iteration {
-                e += op.energy;
-            }
-        }
-        *energy = e;
+        *energy = repeat_adds(*energy, adds, k);
         k * len
     }
 
@@ -709,6 +706,77 @@ impl Core {
             }
         }
     }
+}
+
+/// The bits that `k` rounds of the f64 adds `adds`, in order, leave on
+/// `sum`: `for _ in 0..k { for &c in adds { sum += c } }`, in closed form
+/// per binade.
+///
+/// Every value of the binade `[2^E, 2^(E+1))` that holds a positive
+/// normal sum is a multiple of its ulp `u`. So while the sum stays inside
+/// that binade, each `fl(x + c)` adds exactly `round(c / u) · u`, unless
+/// `c / u` is an exact tie, which rounds to even and so depends on `x`.
+/// The whole rounds that provably stay inside are jumped at once in
+/// integer units of `u` (see [`binade_jump`]). A round at a tie or at the
+/// binade's upper edge runs per op, and so does every round from a sum
+/// that is not positive and normal or with an add that is negative.
+pub fn repeat_adds(mut sum: f64, adds: &[f64], mut k: u64) -> f64 {
+    while k > 0 {
+        if let Some((rounds, after)) = binade_jump(sum, adds, k) {
+            sum = after;
+            k -= rounds;
+            continue;
+        }
+        for &c in adds {
+            sum += c;
+        }
+        k -= 1;
+    }
+    sum
+}
+
+/// The longest run of at most `k` whole rounds of the non-negative
+/// `adds` from the positive normal `sum` in which no add is an exact tie
+/// at the ulp of the binade of `sum` and every add ends below that
+/// binade's upper edge, as `(rounds, sum after them)`; `None` when not
+/// even one round qualifies.
+fn binade_jump(sum: f64, adds: &[f64], k: u64) -> Option<(u64, f64)> {
+    const LOW: u64 = 1 << 52;
+    const HIGH: u64 = 1 << 53;
+    if !(sum > 0.0 && sum.is_normal()) {
+        return None;
+    }
+    let bits = sum.to_bits();
+    let biased = bits >> 52;
+    // The binade's ulp, `2^(biased - 1075)`: subnormal below `biased` 53.
+    let ulp = if biased > 52 {
+        f64::from_bits((biased - 52) << 52)
+    } else {
+        f64::from_bits(1 << (biased - 1))
+    };
+    // The sum as an integer count of ulps, in [LOW, HIGH).
+    let start = (bits & (LOW - 1)) | LOW;
+    // One round's adds, each rounded to whole ulps. The quotients are
+    // exact: `ulp` is a power of two, and one that overflowed fails the
+    // range check (as does NaN).
+    let mut step = 0;
+    for &c in adds {
+        let q = c / ulp;
+        if !(0.0..HIGH as f64).contains(&q) || q.fract() == 0.5 {
+            return None;
+        }
+        step += q.round() as u64;
+        if start + step >= HIGH {
+            return None;
+        }
+    }
+    // Round `j` (from 0) ends at `start + (j + 1)·step`, its highest
+    // partial sum, which must stay below HIGH.
+    let rounds = match step {
+        0 => k,
+        s => ((HIGH - 1 - start) / s).min(k),
+    };
+    Some((rounds, (start + rounds * step) as f64 * ulp))
 }
 
 /// One CRC-32 (IEEE, reflected) accumulation step over 8 data bytes.

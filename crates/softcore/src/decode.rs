@@ -118,6 +118,9 @@ pub struct DecodedProgram {
     /// landing pc's own entry.
     fuse_idx: Vec<u32>,
     fused: Vec<FusedOp>,
+    /// Per-pc energy of `ops`, contiguous so that one iteration of a
+    /// closed-form loop hands its adds over as one slice.
+    energy: Vec<f64>,
 }
 
 const NO_FUSE: u32 = u32::MAX;
@@ -218,10 +221,12 @@ impl DecodedProgram {
                 });
             }
         }
+        let energy = ops.iter().map(|op| op.energy).collect();
         DecodedProgram {
             ops,
             fuse_idx,
             fused,
+            energy,
         }
     }
 
@@ -239,11 +244,13 @@ impl DecodedProgram {
         }
     }
 
-    /// The `len` ops starting at `pc`: one iteration of a closed-form loop
-    /// whose body starts at `pc` (see `DecodedOp::closed_iter`).
+    /// The `len` ops starting at `pc` and their energies: one iteration
+    /// of a closed-form loop whose body starts at `pc` (see
+    /// `DecodedOp::closed_iter`).
     #[inline]
-    pub(crate) fn iteration(&self, pc: usize, len: u32) -> &[DecodedOp] {
-        &self.ops[pc..pc + len as usize]
+    pub(crate) fn iteration(&self, pc: usize, len: u32) -> (&[DecodedOp], &[f64]) {
+        let span = pc..pc + len as usize;
+        (&self.ops[span.clone()], &self.energy[span])
     }
 
     /// Length of the run of core-local ops a core at `pc` with loop

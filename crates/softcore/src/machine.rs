@@ -40,22 +40,10 @@ pub struct RunOutcome {
     pub cycles: u64,
 }
 
-/// Scheduling picks drawn per batch in the contended phase.
-const PICK_BATCH: usize = 256;
-
 /// Longest local run one dry walk measures. A longer run (an unbounded
 /// `Pause` loop, say) is banked in pieces, so a walk never outruns the
 /// picks that consume it by much.
 const MAX_LOCAL_RUN: u64 = 4096;
-
-/// A core's banked local steps in the contended phase.
-#[derive(Debug, Clone, Copy, Default)]
-struct Bank {
-    /// Picks taken and not yet executed.
-    banked: u64,
-    /// Further picks the current local run absorbs.
-    left: u64,
-}
 
 /// A multi-core machine executing one program per core.
 #[derive(Debug)]
@@ -124,10 +112,10 @@ impl Machine {
     /// the returned outcome. It runs in two phases:
     ///
     /// * while more than one core is live, every step draws the same
-    ///   scheduling pick the reference draws, but picks come in batches
-    ///   ([`DetRng::fill_below`]) and steps of core-local ops (no memory,
-    ///   no hook, no halt) are banked per core and executed straight-line
-    ///   later, which no other core and no hook can observe;
+    ///   scheduling pick the reference draws, and steps of core-local ops
+    ///   (no memory, no hook, no halt) are banked per core and executed
+    ///   straight-line later, which no other core and no hook can observe
+    ///   (see `run_contended`);
     /// * once one core is left, the schedule is forced: no draws, and
     ///   fused pairs execute straight-line.
     ///
@@ -202,21 +190,24 @@ impl Machine {
     /// returns the steps taken. On return every step is executed and `rng`
     /// stands where one `below(live.len())` per step leaves it.
     ///
-    /// Each step draws the pick the reference draws, from a batch that
-    /// [`DetRng::fill_below`] generates ahead. A halt changes the live
-    /// count, so the stream is restored to the batch's start and only the
-    /// picks consumed so far are regenerated.
-    ///
     /// A picked core whose next op is core-local (see
     /// [`DecodedProgram::local_run`]) has its local run measured by a dry
     /// walk, and its next picks up to the run's length only count into a
-    /// per-core bank. The banked steps execute straight-line when the core
-    /// is picked again after the run, and for every core when the phase
+    /// bank. The banked steps execute straight-line when the core is
+    /// picked again after the run, and for every core when the phase
     /// ends. Local steps touch only their own core's registers, pc, loop
     /// counters, usage, cycles and energy, and no hook sees them, so
     /// deferring them commutes with every other core's steps; and the
     /// bank holds exactly the picks taken, so a budget that cuts a run
     /// short executes the same prefix the reference does.
+    ///
+    /// Picks are drawn one attempt of `below`'s rejection loop at a time
+    /// ([`DetRng::try_below`]) and charged to a countdown per live slot:
+    /// the picks the slot's current local run still absorbs. A rejected
+    /// attempt charges nothing, so the only exit from the draw loop is a
+    /// pick past its slot's run (`countdown < accepted`) or the budget.
+    /// Every attempt is consumed in order, so a halt needs no restore of
+    /// the stream. The slot arrays `swap_remove` together with `live`.
     fn run_contended<H: FaultHook + ?Sized>(
         &mut self,
         hook: &mut H,
@@ -227,55 +218,56 @@ impl Machine {
         if live.len() < 2 {
             return 0;
         }
+        // Per live slot: the length of its current local run, and the
+        // picks that run still absorbs; its bank is their difference.
+        let mut run = vec![0u64; live.len()];
+        let mut countdown = vec![0u64; live.len()];
         let mut steps = 0u64;
-        let mut banks = vec![Bank::default(); self.cores.len()];
-        let mut picks = [0u64; PICK_BATCH];
         let mut loops = Vec::new();
-        'batches: while live.len() > 1 && steps < max_steps {
+        'picks: while live.len() > 1 && steps < max_steps {
             let n = live.len() as u64;
-            let batch = (max_steps - steps).min(PICK_BATCH as u64) as usize;
-            let batch_start = rng.clone();
-            rng.fill_below(n, &mut picks[..batch]);
-            for taken in 0..batch {
-                let pick = picks[taken];
-                steps += 1;
-                let core_idx = live[pick as usize];
-                let bank = &mut banks[core_idx];
-                if bank.left > 0 {
-                    bank.left -= 1;
-                    bank.banked += 1;
-                    continue;
+            let slot = loop {
+                let (pick, accepted) = rng.try_below(n);
+                let slot = pick as usize;
+                let accepted = u64::from(accepted);
+                if countdown[slot] < accepted {
+                    break slot;
                 }
-                if bank.banked > 0 {
-                    self.exec_banked(core_idx, std::mem::take(&mut bank.banked));
+                countdown[slot] -= accepted;
+                steps += accepted;
+                if steps == max_steps {
+                    break 'picks;
                 }
-                let prog = self.decoded[core_idx].as_ref().expect("loaded");
-                let core = &mut self.cores[core_idx];
-                loops.clone_from(&core.loop_stack);
-                let run = prog.local_run(core.pc, &mut loops, MAX_LOCAL_RUN);
-                if run > 0 {
-                    bank.left = run - 1;
-                    bank.banked = 1;
-                    continue;
-                }
-                let cost =
-                    core.step_decoded(prog, &mut self.mem, hook, &mut self.usage, &mut self.events);
-                self.cycles[core_idx] += cost.cycles;
-                self.energy[core_idx] += cost.energy;
-                if core.halted() {
-                    live.swap_remove(pick as usize);
-                    let used = taken + 1;
-                    if used < batch {
-                        *rng = batch_start;
-                        rng.fill_below(n, &mut picks[..used]);
-                    }
-                    continue 'batches;
-                }
+            };
+            steps += 1;
+            let core_idx = live[slot];
+            let banked = std::mem::take(&mut run[slot]);
+            if banked > 0 {
+                self.exec_banked(core_idx, banked);
+            }
+            let prog = self.decoded[core_idx].as_ref().expect("loaded");
+            let core = &mut self.cores[core_idx];
+            loops.clone_from(&core.loop_stack);
+            let local = prog.local_run(core.pc, &mut loops, MAX_LOCAL_RUN);
+            if local > 0 {
+                run[slot] = local;
+                countdown[slot] = local - 1;
+                continue;
+            }
+            let cost =
+                core.step_decoded(prog, &mut self.mem, hook, &mut self.usage, &mut self.events);
+            self.cycles[core_idx] += cost.cycles;
+            self.energy[core_idx] += cost.energy;
+            if core.halted() {
+                live.swap_remove(slot);
+                run.swap_remove(slot);
+                countdown.swap_remove(slot);
             }
         }
-        for (core_idx, bank) in banks.iter().enumerate() {
-            if bank.banked > 0 {
-                self.exec_banked(core_idx, bank.banked);
+        for (slot, &core_idx) in live.iter().enumerate() {
+            let banked = run[slot] - countdown[slot];
+            if banked > 0 {
+                self.exec_banked(core_idx, banked);
             }
         }
         steps
@@ -539,31 +531,64 @@ mod tests {
         );
     }
 
+    /// [`counter_program`] with a `Pause` filler loop of `filler`
+    /// iterations opening each round, which the contended loop banks.
+    fn filler_counter_program(
+        lock_addr: u64,
+        counter_addr: u64,
+        rounds: u32,
+        filler: u32,
+    ) -> Program {
+        let mut b = ProgramBuilder::new();
+        b.mov_imm(0, lock_addr);
+        b.mov_imm(1, counter_addr);
+        b.mov_imm(2, 1);
+        b.loop_start(rounds);
+        b.loop_start(filler);
+        b.pause();
+        b.loop_end();
+        b.lock_acquire(0);
+        b.load(3, 1, 0);
+        b.int_op(IntOpKind::Add, DataType::Bin64, 3, 3, 2);
+        b.store(3, 1, 0);
+        b.lock_release(0);
+        b.loop_end();
+        b.build()
+    }
+
     /// While more than one core stays live, the contended loop leaves the
     /// interleave stream exactly where the reference's one draw per step
-    /// does, also after a halt inside a pick batch.
+    /// does, at power-of-two live counts (where about half the draws are
+    /// rejected) and others, and also after a halt amid banked runs.
     #[test]
     fn contended_draws_match_reference_stream_position() {
         use rand::RngCore as _;
 
-        let build = || {
-            let mut m = Machine::new(3, 1 << 16);
-            m.load(0, counter_program(0, 64, 2)); // halts early
-            for c in 1..3 {
-                m.load(c, counter_program(0, 64, 1_000));
-            }
-            m
-        };
-        for budget in [100u64, 256, 1_000, 5_000] {
-            let mut fast_rng = DetRng::new(11);
-            let out = build().run(&mut NoFaults, &mut fast_rng, budget);
-            let mut ref_rng = DetRng::new(11);
-            let mut reference = build();
-            assert_eq!(out, reference.run_reference(&mut NoFaults, &mut ref_rng, budget));
-            assert_eq!(out.steps, budget, "two cores stay live");
-            assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "budget {budget}");
-            if budget == 5_000 {
-                assert!(reference.core(0).halted(), "core 0 halted mid-run");
+        for cores in [3usize, 8, 16, 24, 64] {
+            let build = || {
+                let mut m = Machine::new(cores, 1 << 16);
+                m.load(0, counter_program(128, 192, 2)); // halts early
+                for c in 1..cores {
+                    m.load(c, filler_counter_program(0, 64, 1_000, 5 + c as u32 % 4));
+                }
+                m
+            };
+            let budgets = [100u64, 256, 1_000, 5_000, 40 * cores as u64];
+            for budget in budgets {
+                let mut fast_rng = DetRng::new(11);
+                let out = build().run(&mut NoFaults, &mut fast_rng, budget);
+                let mut ref_rng = DetRng::new(11);
+                let mut reference = build();
+                assert_eq!(
+                    out,
+                    reference.run_reference(&mut NoFaults, &mut ref_rng, budget)
+                );
+                assert_eq!(out.steps, budget, "two cores stay live");
+                let label = format!("c{cores} budget {budget}");
+                assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "{label}");
+                if budget == *budgets.iter().max().unwrap() {
+                    assert!(reference.core(0).halted(), "{label}: core 0 halted mid-run");
+                }
             }
         }
     }

@@ -45,7 +45,7 @@ echo "== tier-1: benchmark builds and passes its tests (perfbench) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1: clippy (linted crates) =="
-cargo clippy -q -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis -p sdc-repro -- -D warnings -D clippy::perf
+cargo clippy -q -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis -p sdc-repro -p conformance -p silicon -p bench -- -D warnings -D clippy::perf
 
 if [[ "$conform" -eq 1 ]]; then
   echo "== tier-1: conformance gate (quick) =="

@@ -1,12 +1,17 @@
 //! Fast-path equivalence: the optimized interpreter — predecoded
-//! programs, fused instruction pairs, the single-live-core loop, batched
-//! scheduling picks and banked core-local steps in the contended loop,
+//! programs, fused instruction pairs, the single-live-core loop, the
+//! contended loop's one-at-a-time scheduling picks charged to per-slot
+//! countdowns of banked core-local steps, the closed-form filler loops,
 //! and monomorphized fault hooks — must emit bits identical to the
 //! seed-faithful reference interpreter ([`Machine::run_reference`])
-//! under every hook, across seeds, core counts and step budgets. A
-//! `dyn`-dispatched hook must also match its monomorphized form exactly.
+//! under every hook, across seeds, core counts and step budgets, on
+//! synthetic workloads and on a sample of the standard suite's real unit
+//! profiling runs. A `dyn`-dispatched hook must also match its
+//! monomorphized form exactly.
 
 use conformance::metamorphic::assert_transparent;
+use conformance::metrics::study_config;
+use rand::RngCore as _;
 use sdc_model::{ArchId, CpuId, DataType, DetRng};
 use silicon::{BitPattern, Defect, DefectKind, DefectScope, Injector, Processor, Trigger};
 use softcore::mem::MemStats;
@@ -16,6 +21,7 @@ use softcore::{
     ProgramBuilder, VOpKind,
 };
 use toolchain::profile::Profiler;
+use toolchain::{builders, ProfileKey, Suite};
 
 /// Everything observable about a finished run, in comparable form.
 #[derive(Debug, PartialEq)]
@@ -352,26 +358,28 @@ fn banked_workload(cores: usize) -> Vec<Program> {
         .collect()
 }
 
-/// Smallest step budget after which some core has halted under the
-/// reference interpreter (bisection: halting is monotone in the budget,
+/// Smallest step budget after which `reached` holds for the machine the
+/// reference interpreter leaves (bisection: `reached` must be monotone
+/// in the budget, as it is for anything that only grows over a run,
 /// since a shorter run is a prefix of a longer one).
-fn first_halt<H: FaultHook>(
+fn first_budget<H: FaultHook>(
     cores: usize,
     seed: u64,
     programs: &[Program],
     make_hook: &impl Fn() -> H,
+    reached: impl Fn(&Machine) -> bool,
 ) -> u64 {
-    let halted_after = |budget: u64| {
+    let run = |budget: u64| {
         let mut m = loaded_machine(cores, programs);
         let out = m.run_reference(&mut make_hook(), &mut DetRng::new(seed), budget);
-        ((0..cores).any(|c| m.core(c).halted()), out.steps)
+        (reached(&m), out.steps)
     };
-    let (halted, total) = halted_after(u64::MAX);
-    assert!(halted);
+    let (done, total) = run(u64::MAX);
+    assert!(done);
     let (mut lo, mut hi) = (0u64, total);
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if halted_after(mid).0 {
+        if run(mid).0 {
             hi = mid;
         } else {
             lo = mid;
@@ -380,11 +388,23 @@ fn first_halt<H: FaultHook>(
     hi
 }
 
+/// Smallest step budget after which some core has halted under the
+/// reference interpreter.
+fn first_halt<H: FaultHook>(
+    cores: usize,
+    seed: u64,
+    programs: &[Program],
+    make_hook: &impl Fn() -> H,
+) -> u64 {
+    first_budget(cores, seed, programs, make_hook, |m| {
+        (0..m.num_cores()).any(|c| m.core(c).halted())
+    })
+}
+
 /// Step budgets that cut the contended phase everywhere the banked path
-/// has a seam: inside the first pick batch while most cores sit in a
-/// filler run (37, 300), at and one past a batch boundary (256, 257), on
-/// the step that halts the first core and just after it (the pick batch
-/// is regenerated there), one batch past that halt, and unbounded.
+/// has a seam: early while most cores sit in a filler run (37, 256, 257,
+/// 300), on the step that halts the first core and just after it (the
+/// live count shrinks there), 256 steps past that halt, and unbounded.
 fn budgets(halt: u64) -> Vec<u64> {
     vec![37, 256, 257, 300, halt, halt + 1, halt + 256, u64::MAX]
 }
@@ -648,5 +668,146 @@ fn bank_starting_at_loop_end_identical_across_interpreters() {
             &VARIANTS,
             |variant| run_variant(variant, 2, 12, &programs, &mut NoFaults, budget),
         );
+    }
+}
+
+/// A short program with no local run longer than one op: it halts after
+/// five steps, while the cores around it still sit in their first filler.
+fn early_halter() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.mov_imm(0, 4096);
+    b.store(0, 0, 0).store(0, 0, 8).store(0, 0, 16);
+    b.build()
+}
+
+/// `rounds` rounds of a `dilution`-iteration filler, each closed by one
+/// store: every store is the pick that ends a banked local run, and no
+/// op spins, so the reference's store count marks those picks.
+fn filler_then_store(core: usize, rounds: u32, dilution: u32) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.mov_imm(0, 4096 + 64 * core as u64).mov_imm(1, 1);
+    b.loop_start(rounds);
+    filler(&mut b, dilution);
+    b.store(1, 0, 0);
+    b.loop_end();
+    b.build()
+}
+
+/// Core 0 is an [`early_halter`]; every other core runs
+/// [`filler_then_store`] with a first local run of over 80 steps.
+fn halt_amid_banks(cores: usize) -> Vec<Program> {
+    (0..cores)
+        .map(|c| match c {
+            0 => early_halter(),
+            _ => filler_then_store(c, 3, 40 + c as u32 % 7),
+        })
+        .collect()
+}
+
+/// Stores retired by every core together.
+fn stores(m: &Machine) -> u64 {
+    (0..m.num_cores())
+        .map(|c| m.usage.count(c, InstClass::Store))
+        .sum()
+}
+
+const HALT_AMID_BANKS_CORES: [usize; 3] = [3, 24, 64];
+
+#[test]
+fn halt_amid_open_banks_identical_across_interpreters() {
+    // Core 0 halts while every other slot holds an open bank, so the
+    // last slot, which `swap_remove` moves into the halted core's slot,
+    // carries its bank and countdown along.
+    for cores in HALT_AMID_BANKS_CORES {
+        let programs = halt_amid_banks(cores);
+        let seed = 31 + cores as u64;
+        let halt = first_halt(cores, seed, &programs, &|| NoFaults);
+        let at_halt = run_variant("reference", cores, seed, &programs, &mut NoFaults, halt);
+        let store = InstClass::ALL
+            .iter()
+            .position(|&k| k == InstClass::Store)
+            .unwrap();
+        for (c, usage) in at_halt.usage.iter().enumerate().skip(1) {
+            assert!(
+                usage.iter().sum::<u64>() > 0 && usage[store] == 0,
+                "c{cores}: core {c} holds no open bank at the halt"
+            );
+        }
+        for budget in [halt - 1, halt, halt + 1, halt + cores as u64, u64::MAX] {
+            assert_transparent(
+                &format!("halt amid banks c{cores} budget {budget}"),
+                &VARIANTS,
+                |variant| {
+                    let mut profiler = Profiler::new(DetRng::new(0x9821));
+                    let fp = run_variant(variant, cores, seed, &programs, &mut profiler, budget);
+                    (fp, profiler_products(&profiler))
+                },
+            );
+        }
+    }
+}
+
+#[test]
+fn budget_ending_on_pick_past_a_run_identical_across_interpreters() {
+    // The budget's last step is the store that ends some core's banked
+    // filler run: the fast path executes that bank and then the store.
+    for cores in HALT_AMID_BANKS_CORES {
+        let programs = halt_amid_banks(cores);
+        let seed = 47 + cores as u64;
+        let total_stores = 3 + 3 * (cores as u64 - 1);
+        for nth in [1, 4, cores as u64, total_stores] {
+            let budget = first_budget(cores, seed, &programs, &|| NoFaults, |m| stores(m) >= nth);
+            assert_transparent(
+                &format!("pick past a run c{cores} store {nth} budget {budget}"),
+                &VARIANTS,
+                |variant| run_variant(variant, cores, seed, &programs, &mut NoFaults, budget),
+            );
+        }
+    }
+}
+
+/// Every `REAL_STRIDE`-th testcase of the standard suite is sampled at
+/// each core count, from an offset that differs per count.
+const REAL_STRIDE: usize = 37;
+
+#[test]
+fn real_traffic_identical_across_interpreters() {
+    // Unit profiling runs exactly as the toolchain draws them: the
+    // testcase built from its profile key's stream under the quick
+    // study's config, run under a profiler. Live counts fall from the
+    // package core count (powers of two and not) to one as cores halt.
+    let suite = Suite::standard();
+    let exec = study_config(true, 1).exec;
+    let counts = [8usize, 16, 24, 32, 48, 64];
+    for (i, cores) in counts.into_iter().enumerate() {
+        let offset = i * REAL_STRIDE / counts.len();
+        for tc in suite.testcases().iter().skip(offset).step_by(REAL_STRIDE) {
+            let key = ProfileKey::of(tc.id, cores, &exec);
+            assert_transparent(
+                &format!("{} c{cores}", tc.name),
+                &["fast", "reference"],
+                |variant| {
+                    let mut rng = key.stream();
+                    let built = builders::build(tc, cores, key.unit_iters, rng.next_u64());
+                    let mut m = Machine::new(cores, built.mem_bytes);
+                    for &(addr, val) in &built.mem_init {
+                        m.mem.raw_write_u64(addr, val);
+                    }
+                    for (c, p) in built.programs.iter().enumerate() {
+                        if let Some(p) = p {
+                            m.load(c, p.clone());
+                        }
+                    }
+                    let mut profiler = Profiler::new(rng.fork(0x9821));
+                    let mut interleave = rng.fork(0x77aa);
+                    let out = match variant {
+                        "fast" => m.run(&mut profiler, &mut interleave, key.max_unit_steps),
+                        _ => m.run_reference(&mut profiler, &mut interleave, key.max_unit_steps),
+                    };
+                    assert!(out.completed, "{} c{cores}", tc.name);
+                    (fingerprint(&m, out), profiler_products(&profiler))
+                },
+            );
+        }
     }
 }
