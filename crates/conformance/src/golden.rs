@@ -67,9 +67,11 @@ pub fn golden_file() -> GoldenFile {
 }
 
 /// Parses golden-file JSON from a string (used for regeneration and by
-/// tests that perturb the file).
-pub fn parse_golden(json: &str) -> Result<GoldenFile, String> {
-    serde_json::from_str(json).map_err(|e| e.to_string())
+/// tests that perturb the file). Malformed input — truncated, mistyped,
+/// missing a field or followed by trailing text — is an error, never a
+/// panic.
+pub fn parse_golden(json: &str) -> Result<GoldenFile, serde_json::Error> {
+    serde_json::from_str(json)
 }
 
 /// One line of the conformance report.
@@ -425,6 +427,69 @@ mod tests {
             std::fs::write(&path, &GOLDEN_JSON[..end]).unwrap();
             let err = merge_golden(&path, "quick", &[]).expect_err("a cut file is malformed");
             assert_eq!(err.kind(), ErrorKind::InvalidData, "prefix of {end} bytes");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_strict_prefix_of_the_embedded_file_is_an_error() {
+        let text = GOLDEN_JSON.trim_end();
+        for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            assert!(
+                parse_golden(&text[..end]).is_err(),
+                "prefix of {end} bytes parsed"
+            );
+        }
+        assert_eq!(parse_golden(text).unwrap(), golden_file());
+    }
+
+    #[test]
+    fn malformed_golden_files_are_errors() {
+        let metric = r#"{"name":"a","value":1,"tol":0.1}"#;
+        let file = |sets: &str| format!(r#"{{"version":1,"sets":[{sets}]}}"#);
+        let set = |metrics: &str| format!(r#"{{"mode":"quick","metrics":[{metrics}]}}"#);
+        assert!(parse_golden(&file(&set(metric))).is_ok(), "base case");
+        let cases = [
+            // Wrong types.
+            r#"{"version":"1","sets":[]}"#.to_string(),
+            r#"{"version":-1,"sets":[]}"#.to_string(),
+            r#"{"version":1.5,"sets":[]}"#.to_string(),
+            r#"{"version":1,"sets":{}}"#.to_string(),
+            r#"{"version":1,"sets":null}"#.to_string(),
+            file(r#"{"mode":7,"metrics":[]}"#),
+            file(r#"{"mode":"quick","metrics":"a"}"#),
+            file(&set(r#"{"name":"a","value":"1","tol":0.1}"#)),
+            file(&set(r#"{"name":"a","value":1,"tol":true}"#)),
+            file(&set(r#"{"name":1,"value":1,"tol":0.1}"#)),
+            file(&set("[]")),
+            "[]".to_string(),
+            "null".to_string(),
+            String::new(),
+            // Missing fields.
+            r#"{"sets":[]}"#.to_string(),
+            r#"{"version":1}"#.to_string(),
+            file(r#"{"metrics":[]}"#),
+            file(r#"{"mode":"quick"}"#),
+            file(&set(r#"{"name":"a","value":1}"#)),
+            file(&set(r#"{"value":1,"tol":0.1}"#)),
+            // Trailing garbage.
+            format!("{} x", file(&set(metric))),
+            format!("{}{{}}", file(&set(metric))),
+            format!("{GOLDEN_JSON},"),
+            // Broken syntax.
+            file(&set(&format!("{metric},"))),
+            file(&set(r#"{"name":"a""value":1,"tol":0.1}"#)),
+            file(&set(r#"{"name":"a\q","value":1,"tol":0.1}"#)),
+            file(&set(r#"{"name":"a","value":1e,"tol":0.1}"#)),
+        ];
+        for case in &cases {
+            assert!(parse_golden(case).is_err(), "{case:?} parsed");
+        }
+        let path = scratch("hostile.json");
+        for case in &cases {
+            std::fs::write(&path, case).unwrap();
+            let err = merge_golden(&path, "quick", &[]).expect_err("a malformed file");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{case:?}");
         }
         std::fs::remove_file(&path).ok();
     }

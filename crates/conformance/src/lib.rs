@@ -14,7 +14,7 @@
 //!    [`metrics::campaign_config`], [`metrics::study_config`],
 //!    [`metrics::table4_config`] and [`metrics::eval_config`] are the
 //!    single source of those runs' configs.
-//! 2. **Differential softcore oracle** ([`oracle`], [`reference`]):
+//! 2. **Differential softcore oracle** ([`oracle`], [`mod@reference`]):
 //!    property-based instruction streams executed both on a defect-free
 //!    [`softcore::Machine`] and on an independent pure-Rust reference
 //!    semantics; divergences are minimized to a shrunk repro case.

@@ -133,11 +133,12 @@ impl FaultPlan {
     }
 
     /// Parses a `key=value` comma list, e.g.
-    /// `"offline=0.05,preempt=0.1,seed=7"`. Unknown keys and
+    /// `"offline=0.05,preempt=0.1,seed=7"`. Unknown or repeated keys and
     /// out-of-range probabilities are errors; omitted keys default to
     /// zero (seed defaults to 0).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
+        let mut seen: Vec<&str> = Vec::new();
         for part in spec.split(',') {
             let part = part.trim();
             if part.is_empty() {
@@ -146,27 +147,31 @@ impl FaultPlan {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("fault plan entry '{part}' is not key=value"))?;
-            let prob = |v: &str| -> Result<f64, String> {
-                let p: f64 = v
+            let (key, value) = (key.trim(), value.trim());
+            if seen.contains(&key) {
+                return Err(format!("fault plan: key '{key}' given twice"));
+            }
+            seen.push(key);
+            let prob = || -> Result<f64, String> {
+                let p: f64 = value
                     .parse()
-                    .map_err(|_| format!("fault plan '{key}': bad probability '{v}'"))?;
+                    .map_err(|_| format!("fault plan '{key}': bad probability '{value}'"))?;
                 if !(0.0..=1.0).contains(&p) {
                     return Err(format!("fault plan '{key}': probability {p} not in [0, 1]"));
                 }
                 Ok(p)
             };
-            match key.trim() {
+            match key {
                 "seed" => {
                     plan.seed = value
-                        .trim()
                         .parse()
                         .map_err(|_| format!("fault plan seed: bad integer '{value}'"))?;
                 }
-                "offline" => plan.offline = prob(value.trim())?,
-                "crash" => plan.crash = prob(value.trim())?,
-                "preempt" => plan.preempt = prob(value.trim())?,
-                "read_error" => plan.read_error = prob(value.trim())?,
-                "timeout" => plan.timeout = prob(value.trim())?,
+                "offline" => plan.offline = prob()?,
+                "crash" => plan.crash = prob()?,
+                "preempt" => plan.preempt = prob()?,
+                "read_error" => plan.read_error = prob()?,
+                "timeout" => plan.timeout = prob()?,
                 other => return Err(format!("fault plan: unknown key '{other}'")),
             }
         }
@@ -273,6 +278,73 @@ mod tests {
         assert!(FaultPlan::parse("offline=1.5").is_err());
         assert!(FaultPlan::parse("offline=-0.1").is_err());
         assert!(FaultPlan::parse("seed=abc").is_err());
+        assert!(FaultPlan::parse("offline=0.05,offline=0.5").is_err());
+        assert!(FaultPlan::parse("seed=1, seed =2").is_err());
+    }
+
+    /// Every truncation of `spec` (at each char boundary) is an error or
+    /// a plan with valid probabilities, never a panic.
+    fn assert_prefixes_parse_or_fail(spec: &str) {
+        for end in (0..=spec.len()).filter(|&i| spec.is_char_boundary(i)) {
+            if let Ok(plan) = FaultPlan::parse(&spec[..end]) {
+                assert_valid(&plan, &spec[..end]);
+            }
+        }
+    }
+
+    fn assert_valid(plan: &FaultPlan, spec: &str) {
+        let probs = [
+            plan.offline,
+            plan.crash,
+            plan.preempt,
+            plan.read_error,
+            plan.timeout,
+        ];
+        assert!(
+            probs.iter().all(|p| (0.0..=1.0).contains(p)),
+            "{spec:?}: {plan:?}"
+        );
+        assert_eq!(FaultPlan::parse(&plan.spec()), Ok(*plan), "{spec:?}");
+    }
+
+    /// Spec fragments that recombine into near-valid and hostile plans.
+    #[rustfmt::skip]
+    const FRAGMENTS: &[&str] = &[
+        "seed", "offline", "crash", "preempt", "read_error", "timeout", "gremlins",
+        "=", "=", ",", ",", " ", "0", "1", "0.5", ".", "-", "e", "E9", "1e-3", "NaN",
+        "inf", "+", "18446744073709551616", "\u{0}", "é", "\t",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hostile_specs_parse_or_fail(
+            parts in proptest::collection::vec(proptest::sample::select(FRAGMENTS.to_vec()), 0..24)
+        ) {
+            let spec = parts.concat();
+            if let Ok(plan) = FaultPlan::parse(&spec) {
+                assert_valid(&plan, &spec);
+            }
+            assert_prefixes_parse_or_fail(&spec);
+        }
+
+        #[test]
+        fn truncated_canonical_specs_parse_or_fail(
+            seed in proptest::any::<u64>(),
+            probs in proptest::collection::vec(0.0f64..1.0, 5..6)
+        ) {
+            let plan = FaultPlan {
+                seed,
+                offline: probs[0],
+                crash: probs[1],
+                preempt: probs[2],
+                read_error: probs[3],
+                timeout: probs[4],
+            };
+            proptest::prop_assert_eq!(FaultPlan::parse(&plan.spec()), Ok(plan));
+            assert_prefixes_parse_or_fail(&plan.spec());
+        }
     }
 
     #[test]

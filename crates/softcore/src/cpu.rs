@@ -717,7 +717,7 @@ impl Core {
 /// that binade, each `fl(x + c)` adds exactly `round(c / u) · u`, unless
 /// `c / u` is an exact tie, which rounds to even and so depends on `x`.
 /// The whole rounds that provably stay inside are jumped at once in
-/// integer units of `u` (see [`binade_jump`]). A round at a tie or at the
+/// integer units of `u` (see `binade_jump`). A round at a tie or at the
 /// binade's upper edge runs per op, and so does every round from a sum
 /// that is not positive and normal or with an add that is negative.
 pub fn repeat_adds(mut sum: f64, adds: &[f64], mut k: u64) -> f64 {

@@ -159,9 +159,9 @@ impl ThermalModel {
     /// The relaxation fraction for one step of `dt`: a temperature moves
     /// `alpha` of the way toward its target per [`Self::advance`] call.
     ///
-    /// Exposed so callers integrating trajectories outside the model
-    /// (the executor's thermal trajectory cache) use the *same* `alpha`
-    /// arithmetic and stay bit-identical with `advance`.
+    /// Exposed so callers integrating temperatures outside the model
+    /// (the executor's chunk loop) use the *same* `alpha` arithmetic and
+    /// stay bit-identical with `advance`.
     pub fn step_alpha(&self, dt: Duration) -> f64 {
         1.0 - (-dt.as_secs_f64() / self.cfg.tau_secs).exp()
     }
@@ -172,7 +172,7 @@ impl ThermalModel {
     }
 
     /// Overwrites every core temperature — the write-back half of an
-    /// externally integrated trajectory (see [`Self::step_alpha`]).
+    /// external integration (see [`Self::step_alpha`]).
     ///
     /// # Panics
     ///
@@ -368,7 +368,8 @@ mod tests {
     fn external_integration_matches_advance_bitwise() {
         // Integrating with step_alpha/target_temp outside the model and
         // writing back with set_temps must reproduce advance exactly —
-        // the contract the executor's trajectory cache relies on.
+        // the contract the executor's live chunk-loop integration relies
+        // on.
         let mut a = model(3);
         let mut b = model(3);
         for m in [&mut a, &mut b] {

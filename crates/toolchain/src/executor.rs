@@ -27,15 +27,19 @@ use softcore::{InstClass, Machine, NoFaults};
 use std::sync::Arc;
 use thermal::{ThermalConfig, ThermalModel};
 
-/// Executor configuration.
+/// Discrete-event time chunk of the accelerated run: temperatures step
+/// and defect firings are drawn once per chunk (a run's last chunk is
+/// shorter when the duration is not a whole number of chunks).
+pub(crate) const CHUNK: Duration = Duration::from_secs(1);
+
+/// Executor configuration. The accelerated run's time step is fixed at
+/// 1 s (`CHUNK`).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Simulated core clock in Hz (virtual time = cycles / clock).
     pub clock_hz: f64,
     /// Loop iterations of the profiling unit run.
     pub unit_iters: u32,
-    /// Discrete-event time chunk.
-    pub chunk: Duration,
     /// Cap on materialized SDC records per testcase run (the error *count*
     /// is exact; only record materialization is capped).
     pub max_records: usize,
@@ -66,7 +70,6 @@ impl Default for ExecConfig {
         ExecConfig {
             clock_hz: 1e7,
             unit_iters: 4,
-            chunk: Duration::from_secs(1),
             max_records: 2048,
             preheat_c: None,
             hold_temp_c: None,
@@ -193,69 +196,45 @@ struct SteadyState {
     pairs: Vec<SteadyPair>,
 }
 
-/// Key of one cached thermal trajectory: the relaxation step plus the
-/// exact start temperatures and per-core targets (bit patterns — the
-/// integration below is bitwise deterministic in these).
-#[derive(PartialEq, Eq, Hash)]
-struct TrajKey {
-    alpha: u64,
-    temps: Vec<u64>,
-    targets: Vec<u64>,
+/// Running totals of one fast-path run: the reference loop's
+/// accumulators, gathered so the chunk helpers can share them.
+struct Tally {
+    records: Vec<SdcRecord>,
+    error_count: u64,
+    errors_per_core: Vec<u64>,
+    temp_sum: f64,
+    temp_chunks: u64,
+    max_temp: f64,
 }
 
-impl TrajKey {
-    fn of(alpha: f64, temps: &[f64], targets: &[f64]) -> Self {
-        TrajKey {
-            alpha: alpha.to_bits(),
-            temps: temps.iter().map(|t| t.to_bits()).collect(),
-            targets: targets.iter().map(|t| t.to_bits()).collect(),
+impl Tally {
+    fn new(cores: usize) -> Self {
+        Tally {
+            records: Vec::new(),
+            error_count: 0,
+            errors_per_core: vec![0; cores],
+            temp_sum: 0.0,
+            temp_chunks: 0,
+            max_temp: f64::NEG_INFINITY,
         }
     }
-}
 
-/// One integrated thermal curve: temperatures after each full chunk,
-/// stored until the sequence reaches a bitwise fixed point.
-///
-/// Exponential relaxation `t += (target - t) * alpha` with `alpha <
-/// 0.5` moves each core monotonically toward its target without
-/// overshoot, so in f64 the per-core sequence is monotone over a finite
-/// value set and must land on an exact fixed point — after which every
-/// further chunk is a no-op and `converged` is set.
-#[derive(Clone, Default)]
-struct Trajectory {
-    steps: Vec<Vec<f64>>,
-    converged: bool,
-}
-
-/// Transient prefix cap per cached trajectory (the default 1 s chunk /
-/// 15 s tau converges in well under 1k steps; pathological tiny-alpha
-/// configs fall back to live stepping past the cap).
-const MAX_TRAJ_STEPS: usize = 4096;
-/// Cached trajectories per executor (keys differ by start temperature,
-/// so sequential runs with remaining heat each get an entry).
-const MAX_TRAJ_ENTRIES: usize = 32;
-
-/// Extends `traj` with integration steps until it covers `need` chunks,
-/// hits the storage cap, or converges.
-fn extend_trajectory(traj: &mut Trajectory, start: &[f64], targets: &[f64], alpha: f64, need: usize) {
-    while !traj.converged && traj.steps.len() < need.min(MAX_TRAJ_STEPS) {
-        let cur: &[f64] = traj.steps.last().map(|v| v.as_slice()).unwrap_or(start);
-        let next: Vec<f64> = cur
-            .iter()
-            .zip(targets)
-            .map(|(&t, &target)| t + (target - t) * alpha)
-            .collect();
-        if next.iter().zip(cur).all(|(a, b)| a.to_bits() == b.to_bits()) {
-            traj.converged = true;
-        } else {
-            traj.steps.push(next);
-        }
+    /// Accounts one chunk whose hottest tested core sits at `hottest`.
+    fn chunk(&mut self, hottest: f64) {
+        self.temp_sum += hottest;
+        self.temp_chunks += 1;
+        self.max_temp = self.max_temp.max(hottest);
     }
 }
 
 /// Advances `temps` by one chunk in place with the exact
 /// [`thermal::ThermalModel::advance`] arithmetic; returns `true` when
 /// nothing changed bitwise (the trajectory's fixed point).
+///
+/// Relaxation `t += (target - t) * alpha` with `alpha < 0.5` moves each
+/// core monotonically toward its target without overshoot, so in f64
+/// the per-core sequence is monotone over a finite value set and lands
+/// on an exact fixed point, after which every further chunk is a no-op.
 fn step_temps(temps: &mut [f64], targets: &[f64], alpha: f64) -> bool {
     let mut unchanged = true;
     for (t, &target) in temps.iter_mut().zip(targets) {
@@ -330,11 +309,6 @@ pub struct Executor<'p> {
     /// Profile reads attempted so far (feeds the fault hook's attempt
     /// counter and the supervisor's per-item accounting).
     profile_reads: u32,
-    /// Thermal trajectory cache: `(alpha, start temps, targets)` →
-    /// integrated curve. Hits when runs repeat a power configuration
-    /// from the same starting temperatures (burn-in preheat makes this
-    /// the common case in Farron evals).
-    trajectories: std::collections::HashMap<TrajKey, Arc<Trajectory>>,
 }
 
 impl std::fmt::Debug for Executor<'_> {
@@ -359,7 +333,6 @@ impl<'p> Executor<'p> {
             cache: None,
             profile_fault: None,
             profile_reads: 0,
-            trajectories: std::collections::HashMap::new(),
         }
     }
 
@@ -384,16 +357,6 @@ impl<'p> Executor<'p> {
     /// its arguments (e.g. a seeded fault-plan draw).
     pub fn set_profile_fault_hook(&mut self, hook: Option<ProfileFaultHook>) {
         self.profile_fault = hook;
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ExecConfig {
-        &self.cfg
-    }
-
-    /// Replaces the configuration (e.g. to toggle burn-in between rounds).
-    pub fn set_config(&mut self, cfg: ExecConfig) {
-        self.cfg = cfg;
     }
 
     /// Profiles one unit of `tc` on the VM (through the shared cache when
@@ -480,11 +443,11 @@ impl<'p> Executor<'p> {
     ///   zero event base rate) never reach a Poisson draw in the seed
     ///   loop (`continue`, or a non-positive mean that returns before
     ///   consuming randomness), so they are dropped up front;
-    /// * **thermal trajectory cache** — the chunk loop's temperature
-    ///   curve is a pure function of (step alpha, start temps, targets);
-    ///   it is integrated once outside [`ThermalModel`] with the exact
-    ///   `advance` arithmetic ([`ThermalModel::step_alpha`]), cached,
-    ///   and replayed until it reaches its bitwise fixed point;
+    /// * **live thermal integration** — the chunk loop steps a local
+    ///   copy of the temperatures with the exact `advance` arithmetic
+    ///   ([`ThermalModel::step_alpha`]) against targets computed once,
+    ///   and writes them back at the end; the first chunk that changes
+    ///   no temperature bit is the curve's fixed point;
     /// * **steady-state memoization** — past the fixed point every
     ///   chunk's Poisson mean is a constant, so the trigger's `powf`
     ///   and `exp(-lambda)` are hoisted and draws go through
@@ -497,9 +460,7 @@ impl<'p> Executor<'p> {
         duration: Duration,
         rng: &mut DetRng,
     ) -> Result<TestcaseRun, ExecError> {
-        // A zero chunk never advances `elapsed`; leave that degenerate
-        // config to the reference loop rather than divide by zero here.
-        if self.cfg.reference_executor || self.cfg.chunk == Duration::ZERO {
+        if self.cfg.reference_executor {
             return self.try_run_reference(tc, cores, duration, rng);
         }
         self.check_cores(tc, cores)?;
@@ -587,28 +548,87 @@ impl<'p> Executor<'p> {
 
         let start = self.clock.now();
         let mut elapsed = Duration::ZERO;
-        let mut records = Vec::new();
-        let mut error_count = 0u64;
-        let mut errors_per_core = vec![0u64; cores.len()];
-        let mut temp_sum = 0.0;
-        let mut temp_chunks = 0u64;
-        let mut max_temp = f64::NEG_INFINITY;
+        let mut tally = Tally::new(cores.len());
 
-        let chunk = self.cfg.chunk;
-        let chunk_secs = chunk.as_secs_f64();
-        let full_chunks = (duration.as_micros() / chunk.as_micros()) as usize;
-        let partial = Duration::from_micros(duration.as_micros() % chunk.as_micros());
+        let full_chunks = duration.as_micros() / CHUNK.as_micros();
+        let partial = Duration::from_micros(duration.as_micros() % CHUNK.as_micros());
         let any_chunk = full_chunks > 0 || partial > Duration::ZERO;
 
+        let hold = self.cfg.hold_temp_c;
+        if let (Some(h), true) = (hold, any_chunk) {
+            self.thermal.preheat(h);
+        }
+        let mut temps = self.thermal.temps().to_vec();
+        // Targets are fixed while powers are fixed; hoist the O(cores²)
+        // target computation out of the chunk loop.
+        let targets: Vec<f64> = match hold {
+            Some(_) => Vec::new(),
+            None => (0..phys).map(|c| self.thermal.target_temp(c)).collect(),
+        };
+        let alpha = self.thermal.step_alpha(CHUNK);
+
+        let hottest = |temps: &[f64]| {
+            cores
+                .iter()
+                .map(|&c| temps[c as usize])
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
+        // Records the `k` events one pair fired in a chunk: the same
+        // draws, in the same order, as the reference loop.
+        let record = |tally: &mut Tally,
+                      pair: &ActivePair<'_>,
+                      k: u64,
+                      temp: f64,
+                      at: Duration,
+                      rng: &mut DetRng| {
+            if k == 0 {
+                return;
+            }
+            tally.error_count += k;
+            tally.errors_per_core[pair.idx] += k;
+            match &pair.events {
+                PairEvents::Comp(sites) => materialize_computation(
+                    sites,
+                    pair.defect,
+                    sampler_samples,
+                    SettingId {
+                        cpu: processor.id,
+                        core: CoreId(pair.pcore),
+                        testcase: tc.id,
+                    },
+                    temp,
+                    at,
+                    k,
+                    self.cfg.max_records,
+                    &mut tally.records,
+                    rng,
+                ),
+                PairEvents::Coherence(_) | PairEvents::Tx(_) => {
+                    self.push_consistency(&mut tally.records, k, pair.pcore, tc, temp, at)
+                }
+            }
+        };
+        // One chunk of length `dt` at `temps` with the reference loop's
+        // per-chunk arithmetic: rate, Poisson draw, records.
+        let transient =
+            |tally: &mut Tally, temps: &[f64], dt: Duration, at: Duration, rng: &mut DetRng| {
+                let dt_secs = dt.as_secs_f64();
+                tally.chunk(hottest(temps));
+                for pair in &active {
+                    let temp = temps[pair.pcore as usize];
+                    let rate = pair.defect.rate(pair.pcore, temp);
+                    if rate <= 0.0 {
+                        continue;
+                    }
+                    let k = rng.poisson(pair.events.base_per_sec() * rate * dt_secs);
+                    record(tally, pair, k, temp, at, rng);
+                }
+            };
         // Rates, means and exp(-mean) memoized at a temperature fixed
         // point. Pairs whose rate is zero *at these temperatures* (e.g.
         // below the trigger's t_min floor) are dropped drawlessly, the
         // same way the reference loop `continue`s on them every chunk.
         let make_steady = |temps: &[f64]| -> SteadyState {
-            let hottest = cores
-                .iter()
-                .map(|&c| temps[c as usize])
-                .fold(f64::NEG_INFINITY, f64::max);
             let mut pairs = Vec::new();
             for (active_i, pair) in active.iter().enumerate() {
                 let temp = temps[pair.pcore as usize];
@@ -616,7 +636,7 @@ impl<'p> Executor<'p> {
                 if rate <= 0.0 {
                     continue;
                 }
-                let lambda = pair.events.base_per_sec() * rate * chunk_secs;
+                let lambda = pair.events.base_per_sec() * rate * CHUNK.as_secs_f64();
                 if lambda <= 0.0 {
                     continue;
                 }
@@ -628,227 +648,45 @@ impl<'p> Executor<'p> {
                     exp_neg_lambda,
                 });
             }
-            SteadyState { hottest, pairs }
+            SteadyState {
+                hottest: hottest(temps),
+                pairs,
+            }
         };
 
-        let hold = self.cfg.hold_temp_c;
-        let alpha = self.thermal.step_alpha(chunk);
-        let mut targets: Vec<f64> = Vec::new();
-        let mut traj: Option<Arc<Trajectory>> = None;
-        let mut steady: Option<SteadyState> = None;
-        let mut temps: Vec<f64>;
-        if let Some(h) = hold {
-            // Held temperatures are constant from the first chunk on:
-            // the run is steady-state throughout.
-            if any_chunk {
-                self.thermal.preheat(h);
-            }
-            temps = self.thermal.temps().to_vec();
-            if any_chunk {
-                let st = make_steady(&temps);
-                max_temp = max_temp.max(st.hottest);
-                steady = Some(st);
-            }
-        } else {
-            // Targets are fixed while powers are fixed; hoist the
-            // O(cores²) target computation out of the chunk loop.
-            targets = (0..phys).map(|c| self.thermal.target_temp(c)).collect();
-            temps = self.thermal.temps().to_vec();
-            if full_chunks > 0 {
-                let key = TrajKey::of(alpha, &temps, &targets);
-                traj = Some(match self.trajectories.get_mut(&key) {
-                    Some(entry) => {
-                        extend_trajectory(
-                            Arc::make_mut(entry),
-                            &temps,
-                            &targets,
-                            alpha,
-                            full_chunks,
-                        );
-                        Arc::clone(entry)
-                    }
-                    None => {
-                        let mut fresh = Trajectory::default();
-                        extend_trajectory(&mut fresh, &temps, &targets, alpha, full_chunks);
-                        let fresh = Arc::new(fresh);
-                        if self.trajectories.len() < MAX_TRAJ_ENTRIES {
-                            self.trajectories.insert(key, Arc::clone(&fresh));
-                        }
-                        fresh
-                    }
-                });
-            }
-        }
+        // Held temperatures are constant from the first chunk on: the
+        // run is steady throughout.
+        let mut steady = match hold {
+            Some(_) if full_chunks > 0 => Some(make_steady(&temps)),
+            _ => None,
+        };
 
-        for chunk_i in 0..full_chunks {
-            if steady.is_none() {
-                let traj = traj.as_ref().expect("dynamic full chunks have a trajectory");
-                let mut now_steady = false;
-                if chunk_i < traj.steps.len() {
-                    temps.copy_from_slice(&traj.steps[chunk_i]);
-                } else if traj.converged {
-                    now_steady = true;
-                } else {
-                    // Past the trajectory storage cap: integrate live
-                    // (same arithmetic) and watch for the fixed point.
-                    now_steady = step_temps(&mut temps, &targets, alpha);
-                }
-                if now_steady {
-                    let st = make_steady(&temps);
-                    max_temp = max_temp.max(st.hottest);
-                    steady = Some(st);
-                }
+        for _ in 0..full_chunks {
+            if steady.is_none() && step_temps(&mut temps, &targets, alpha) {
+                steady = Some(make_steady(&temps));
             }
-            if let Some(st) = &steady {
-                temp_sum += st.hottest;
-                temp_chunks += 1;
-                for sp in &st.pairs {
-                    let k = rng.poisson_with_exp(sp.lambda, sp.exp_neg_lambda);
-                    if k > 0 {
-                        error_count += k;
-                        let pair = &active[sp.active_i];
-                        errors_per_core[pair.idx] += k;
-                        match &pair.events {
-                            PairEvents::Comp(sites) => materialize_computation(
-                                sites,
-                                pair.defect,
-                                sampler_samples,
-                                SettingId {
-                                    cpu: processor.id,
-                                    core: CoreId(pair.pcore),
-                                    testcase: tc.id,
-                                },
-                                sp.temp,
-                                start + elapsed,
-                                k,
-                                self.cfg.max_records,
-                                &mut records,
-                                rng,
-                            ),
-                            PairEvents::Coherence(_) | PairEvents::Tx(_) => {
-                                self.push_consistency(
-                                    &mut records,
-                                    k,
-                                    pair.pcore,
-                                    tc,
-                                    sp.temp,
-                                    start + elapsed,
-                                );
-                            }
-                        }
+            let at = start + elapsed;
+            match &steady {
+                Some(st) => {
+                    tally.chunk(st.hottest);
+                    for sp in &st.pairs {
+                        let k = rng.poisson_with_exp(sp.lambda, sp.exp_neg_lambda);
+                        record(&mut tally, &active[sp.active_i], k, sp.temp, at, rng);
                     }
                 }
-            } else {
-                // Transient chunk: the seed loop's per-chunk arithmetic
-                // on the locally integrated temperatures.
-                let hottest = cores
-                    .iter()
-                    .map(|&c| temps[c as usize])
-                    .fold(f64::NEG_INFINITY, f64::max);
-                temp_sum += hottest;
-                temp_chunks += 1;
-                max_temp = max_temp.max(hottest);
-                for pair in &active {
-                    let temp = temps[pair.pcore as usize];
-                    let rate = pair.defect.rate(pair.pcore, temp);
-                    if rate <= 0.0 {
-                        continue;
-                    }
-                    let lambda = pair.events.base_per_sec() * rate * chunk_secs;
-                    let k = rng.poisson(lambda);
-                    error_count += k;
-                    errors_per_core[pair.idx] += k;
-                    if k > 0 {
-                        match &pair.events {
-                            PairEvents::Comp(sites) => materialize_computation(
-                                sites,
-                                pair.defect,
-                                sampler_samples,
-                                SettingId {
-                                    cpu: processor.id,
-                                    core: CoreId(pair.pcore),
-                                    testcase: tc.id,
-                                },
-                                temp,
-                                start + elapsed,
-                                k,
-                                self.cfg.max_records,
-                                &mut records,
-                                rng,
-                            ),
-                            PairEvents::Coherence(_) | PairEvents::Tx(_) => {
-                                self.push_consistency(
-                                    &mut records,
-                                    k,
-                                    pair.pcore,
-                                    tc,
-                                    temp,
-                                    start + elapsed,
-                                );
-                            }
-                        }
-                    }
-                }
+                None => transient(&mut tally, &temps, CHUNK, at, rng),
             }
-            elapsed += chunk;
+            elapsed += CHUNK;
         }
 
         // Final partial chunk (if the duration is not a whole number of
         // chunks): a different dt means a different alpha and Poisson
         // mean, so it is stepped and drawn exactly like the reference.
         if partial > Duration::ZERO {
-            let dt_secs = partial.as_secs_f64();
             if hold.is_none() {
                 step_temps(&mut temps, &targets, self.thermal.step_alpha(partial));
             }
-            let hottest = cores
-                .iter()
-                .map(|&c| temps[c as usize])
-                .fold(f64::NEG_INFINITY, f64::max);
-            temp_sum += hottest;
-            temp_chunks += 1;
-            max_temp = max_temp.max(hottest);
-            for pair in &active {
-                let temp = temps[pair.pcore as usize];
-                let rate = pair.defect.rate(pair.pcore, temp);
-                if rate <= 0.0 {
-                    continue;
-                }
-                let lambda = pair.events.base_per_sec() * rate * dt_secs;
-                let k = rng.poisson(lambda);
-                error_count += k;
-                errors_per_core[pair.idx] += k;
-                if k > 0 {
-                    match &pair.events {
-                        PairEvents::Comp(sites) => materialize_computation(
-                            sites,
-                            pair.defect,
-                            sampler_samples,
-                            SettingId {
-                                cpu: processor.id,
-                                core: CoreId(pair.pcore),
-                                testcase: tc.id,
-                            },
-                            temp,
-                            start + elapsed,
-                            k,
-                            self.cfg.max_records,
-                            &mut records,
-                            rng,
-                        ),
-                        PairEvents::Coherence(_) | PairEvents::Tx(_) => {
-                            self.push_consistency(
-                                &mut records,
-                                k,
-                                pair.pcore,
-                                tc,
-                                temp,
-                                start + elapsed,
-                            );
-                        }
-                    }
-                }
-            }
+            transient(&mut tally, &temps, partial, start + elapsed, rng);
             elapsed += partial;
         }
         debug_assert_eq!(elapsed, duration);
@@ -869,15 +707,19 @@ impl<'p> Executor<'p> {
             testcase: tc.id,
             cores: cores.to_vec(),
             duration,
-            records,
-            error_count,
-            errors_per_core,
-            mean_temp_c: if temp_chunks > 0 {
-                temp_sum / temp_chunks as f64
+            records: tally.records,
+            error_count: tally.error_count,
+            errors_per_core: tally.errors_per_core,
+            mean_temp_c: if tally.temp_chunks > 0 {
+                tally.temp_sum / tally.temp_chunks as f64
             } else {
                 0.0
             },
-            max_temp_c: if max_temp.is_finite() { max_temp } else { 0.0 },
+            max_temp_c: if tally.max_temp.is_finite() {
+                tally.max_temp
+            } else {
+                0.0
+            },
         })
     }
 
@@ -958,7 +800,7 @@ impl<'p> Executor<'p> {
         let mut max_temp = f64::NEG_INFINITY;
 
         while elapsed < duration {
-            let dt = std::cmp::min(self.cfg.chunk, duration - elapsed);
+            let dt = std::cmp::min(CHUNK, duration - elapsed);
             if let Some(hold) = self.cfg.hold_temp_c {
                 self.thermal.preheat(hold);
             } else {

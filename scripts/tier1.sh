@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md): release build, the root test
 # suite, every workspace crate's tests in release, the bench regression
-# gates, the benchmark package (perfbench/) build and tests, and clippy.
+# gates, the benchmark package (perfbench/) build and tests, clippy and
+# rustdoc.
 # CI runs this script as its only tier-1 step. Run from anywhere; exits
 # non-zero on the first failure.
 #
@@ -45,7 +46,11 @@ echo "== tier-1: benchmark builds and passes its tests (perfbench) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1: clippy (linted crates) =="
-cargo clippy -q -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis -p sdc-repro -p conformance -p silicon -p bench -- -D warnings -D clippy::perf
+cargo clippy -q -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis -p sdc-repro -p conformance -p silicon -p bench -p thermal -p softfloat -p ftol -- -D warnings -D clippy::perf
+
+# Broken or ambiguous intra-doc links (e.g. to a deleted item) fail here.
+echo "== tier-1: rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 if [[ "$conform" -eq 1 ]]; then
   echo "== tier-1: conformance gate (quick) =="

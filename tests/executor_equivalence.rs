@@ -1,5 +1,5 @@
 //! Differential oracle for the executor fast path: `Executor::try_run`
-//! (event-skipping, trajectory-cached) must be bitwise identical to
+//! (event-skipping, steady-state memoized) must be bitwise identical to
 //! `Executor::try_run_reference` (the seed chunk loop, kept verbatim) in
 //! everything observable — the `TestcaseRun` (records, counts, stats),
 //! the caller's RNG stream position, the persisted thermal state, and
@@ -11,7 +11,7 @@ use sdc_model::{ArchId, CpuId, DataType, DetRng, Duration};
 use silicon::{catalog, BitPattern, Defect, DefectKind, DefectScope, Processor, Trigger};
 use softcore::InstClass;
 use std::sync::Arc;
-use toolchain::{ExecConfig, ExecError, Executor, ProfileCache, Suite};
+use toolchain::{ExecConfig, ExecError, Executor, ProfileCache, Suite, TestcaseRun};
 
 /// Testcases some defect of `p` applies to, by name prefix.
 fn applicable_tc(suite: &Suite, prefix: &str, p: &Processor) -> sdc_model::TestcaseId {
@@ -35,7 +35,8 @@ fn first_tc(suite: &Suite, prefix: &str) -> sdc_model::TestcaseId {
 
 /// Runs the same schedule of `(testcase, cores, duration)` legs through
 /// a fast-path executor and a reference executor (persisting thermal and
-/// clock state across legs) and asserts every observable matches.
+/// clock state across legs), asserts every observable matches, and
+/// returns the fast path's runs.
 fn assert_equivalent(
     label: &str,
     processor: &Processor,
@@ -43,7 +44,7 @@ fn assert_equivalent(
     cfg: ExecConfig,
     seed: u64,
     legs: &[(sdc_model::TestcaseId, &[u16], Duration)],
-) {
+) -> Vec<TestcaseRun> {
     let cache = Arc::new(ProfileCache::with_capacity(64));
     let mut fast = Executor::with_cache(processor, cfg, cache.clone());
     let ref_cfg = ExecConfig {
@@ -53,13 +54,17 @@ fn assert_equivalent(
     let mut reference = Executor::with_cache(processor, ref_cfg, cache);
     let mut rng_fast = DetRng::new(seed);
     let mut rng_ref = DetRng::new(seed);
+    let mut runs = Vec::new();
 
     for (leg, &(tc_id, cores, duration)) in legs.iter().enumerate() {
         let tc = suite.get(tc_id);
         let a = fast.try_run(tc, cores, duration, &mut rng_fast);
         let b = reference.try_run(tc, cores, duration, &mut rng_ref);
         match (a, b) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}: leg {leg} ({})", tc.name),
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "{label}: leg {leg} ({})", tc.name);
+                runs.push(a);
+            }
             (a, b) => panic!("{label}: leg {leg} errored: fast {a:?} vs reference {b:?}"),
         }
         // RNG stream position: the fast path must consume the caller's
@@ -83,6 +88,7 @@ fn assert_equivalent(
             "{label}: leg {leg}: clocks diverged"
         );
     }
+    runs
 }
 
 /// A processor mixing provably-zero-rate defects (zero base rate, zero
@@ -225,9 +231,13 @@ fn hold_and_burn_in_configs_match_reference() {
             ],
         );
     }
-    // Farron's burn-in: preheat + stress on idle cores. Repeated legs
-    // share a trajectory cache entry (same preheat start temps).
-    assert_equivalent(
+    // Farron's burn-in: preheat + stress on idle cores. Every leg starts
+    // from the same preheated temperatures; alternating two testcases
+    // alternates the power targets, so consecutive legs integrate
+    // different thermal curves from one start, and one leg ends on a
+    // sub-second partial chunk.
+    let other = first_tc(&suite, "alu/i32/");
+    let runs = assert_equivalent(
         "burn-in",
         &mix1,
         &suite,
@@ -241,8 +251,16 @@ fn hold_and_burn_in_configs_match_reference() {
         &[
             (tc, &all, Duration::from_mins(10)),
             (tc, &all, Duration::from_mins(10)),
+            (other, &all, Duration::from_mins(10)),
+            (tc, &all, Duration::from_mins(10)),
+            (other, &all, Duration::from_millis(90_400)),
             (tc, &all, Duration::from_mins(10)),
         ],
+    );
+    assert_ne!(
+        runs[1].max_temp_c.to_bits(),
+        runs[2].max_temp_c.to_bits(),
+        "the two testcases must heat the package to different temperatures"
     );
 }
 
