@@ -101,12 +101,14 @@ mod tests {
     use super::*;
 
     fn stats() -> AttritionStats {
-        let mut s = AttritionStats::default();
-        s.items = 400;
-        s.completed = 398;
-        s.lost = 2;
-        s.retries = 37;
-        s.backoff_secs = 1843.25;
+        let mut s = AttritionStats {
+            items: 400,
+            completed: 398,
+            lost: 2,
+            retries: 37,
+            backoff_secs: 1843.25,
+            ..AttritionStats::default()
+        };
         s.faults_by_kind[OpFault::MachineOffline.index()] = 12;
         s.faults_by_kind[OpFault::Preempted.index()] = 25;
         s

@@ -10,7 +10,7 @@
 //! parameter trips the gate (see `tests/golden_gate.rs`).
 
 use crate::metrics::Metric;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io::{self, ErrorKind};
 use std::path::Path;
 
@@ -19,7 +19,7 @@ use std::path::Path;
 pub const GOLDEN_JSON: &str = include_str!("../GOLDEN.json");
 
 /// One golden statistic: the recorded value and its tolerance band.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldenMetric {
     /// Metric name, e.g. `table1.total_bp` or `fig2.fpu`.
     pub name: String,
@@ -32,7 +32,7 @@ pub struct GoldenMetric {
 serde::impl_json_struct!(GoldenMetric { name, value, tol });
 
 /// All golden metrics of one mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldenSet {
     /// `"quick"` or `"full"`.
     pub mode: String,
@@ -43,7 +43,7 @@ pub struct GoldenSet {
 serde::impl_json_struct!(GoldenSet { mode, metrics });
 
 /// The whole golden file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldenFile {
     /// Bumped when the metric naming scheme changes incompatibly.
     pub version: u32,

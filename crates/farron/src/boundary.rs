@@ -8,7 +8,6 @@
 //! below the boundary." The boundary thus converges onto the
 //! application's standard working temperature, keeping backoff rare.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// What the controller should do after a temperature observation.
@@ -36,7 +35,7 @@ pub enum BoundaryAction {
 /// // …and a genuine excursion still triggers backoff.
 /// assert_eq!(b.observe(70.0), BoundaryAction::Backoff);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveBoundary {
     boundary_c: f64,
     window: VecDeque<f64>,

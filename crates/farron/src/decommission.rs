@@ -6,7 +6,6 @@
 //! normal." Masked-core packages live in the reliable resource pool.
 
 use sdc_model::{CoreId, CpuId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The decommission decision for a faulty processor.
@@ -30,7 +29,7 @@ pub fn decide(defective_cores: &[CoreId]) -> DecommissionDecision {
 
 /// The reliable resource pool: which cores of which processors may run
 /// user applications.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReliablePool {
     /// cpu → masked cores (absent cpu = fully available).
     masked: BTreeMap<u64, BTreeSet<u16>>,

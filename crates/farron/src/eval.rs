@@ -16,7 +16,7 @@
 use crate::baseline::Baseline;
 use crate::online::{simulate_online, AppProfile, OnlineConfig};
 use crate::priority::PriorityBook;
-use crate::requeue::run_plan_requeue;
+use crate::requeue::{round_label, run_plan_requeue};
 use crate::schedule::FarronScheduler;
 use analysis::study::{run_case_cached, StudyConfig};
 use fleet::chaos::FaultPlan;
@@ -26,10 +26,9 @@ use fleet::checkpoint::{
 use fleet::screening::SuiteProfileCache;
 use fleet::supervisor::{AttritionStats, RetryPolicy};
 use sdc_model::{DetRng, Duration, Feature, TestcaseId};
-use serde::{Deserialize, Serialize};
 use silicon::catalog;
 use std::sync::Arc;
-use toolchain::{framework, ExecConfig, ProfileCache, Suite};
+use toolchain::{framework, ExecConfig, ProfileCache, Suite, TestPlan};
 
 /// Evaluation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,14 +122,15 @@ impl EvalCtx<'_> {
     }
 }
 
-/// How the regular rounds of one evaluation row execute.
+/// Which plan runner the regular rounds of one evaluation row use.
 #[derive(Clone, Copy)]
 enum RoundMode<'a> {
-    /// In-order execution of every window — the seed-pinned Figure 11
+    /// In-order execution of every window on one sequential stream
+    /// ([`framework::run_plan_cached`]) — the seed-pinned Figure 11
     /// path; its numbers must never change.
     Plain,
-    /// Chaos-exposed execution: faults interrupt windows, interrupted
-    /// windows are re-queued at the end of the round
+    /// Chaos-exposed execution: each window is a supervised slot with
+    /// its own stream, and faulted windows are retried
     /// ([`run_plan_requeue`]).
     Chaos {
         plan: &'a FaultPlan,
@@ -193,10 +193,28 @@ fn eval_row(
         .plan(suite, &book, processor.id, &app_features, boundary_c);
     let baseline_plan = ctx.baseline.plan(suite);
     let known_n = known.len().max(1);
-    let mut farron_cov_sum = 0.0;
-    let mut baseline_cov_sum = 0.0;
     let mut attrition = AttritionStats::default();
-    let coverage = |report: &toolchain::TestReport| {
+    // One regular round of `plan` from the stream `root`, returning its
+    // coverage; `stream` tells the Farron and baseline rounds apart in
+    // the fault plan.
+    let mut run_round = |plan: &TestPlan, exec, mut root: DetRng, round, stream| {
+        let cache = Some(Arc::clone(&ctx.unit_cache));
+        let report = match mode {
+            RoundMode::Plain => {
+                framework::run_plan_cached(processor, suite, plan, exec, &mut root, cache)
+            }
+            RoundMode::Chaos {
+                plan: chaos,
+                policy,
+            } => {
+                let label = round_label(name, round, stream);
+                let out = run_plan_requeue(
+                    processor, suite, plan, exec, &root, cache, label, chaos, policy,
+                );
+                attrition.merge(&out.attrition);
+                out.report
+            }
+        };
         report
             .failing_testcases()
             .iter()
@@ -204,61 +222,12 @@ fn eval_row(
             .count() as f64
             / known_n as f64
     };
-    for round in 0..cfg.rounds.max(1) {
-        match mode {
-            RoundMode::Plain => {
-                let mut rng = DetRng::new(cfg.seed + round as u64).fork_str(name);
-                let farron_report = framework::run_plan_cached(
-                    processor,
-                    suite,
-                    &farron_plan,
-                    burn_in_exec(),
-                    &mut rng,
-                    Some(Arc::clone(&ctx.unit_cache)),
-                );
-                farron_cov_sum += coverage(&farron_report);
-                let mut rng_b = DetRng::new(cfg.seed ^ 0xb ^ round as u64).fork_str(name);
-                let baseline_report = framework::run_plan_cached(
-                    processor,
-                    suite,
-                    &baseline_plan,
-                    ExecConfig::default(),
-                    &mut rng_b,
-                    Some(Arc::clone(&ctx.unit_cache)),
-                );
-                baseline_cov_sum += coverage(&baseline_report);
-            }
-            RoundMode::Chaos { plan, policy } => {
-                let root = DetRng::new(cfg.seed + round as u64).fork_str(name);
-                let farron_out = run_plan_requeue(
-                    processor,
-                    suite,
-                    &farron_plan,
-                    burn_in_exec(),
-                    &root,
-                    Some(Arc::clone(&ctx.unit_cache)),
-                    crate::requeue::round_label(name, round as u64, 0),
-                    plan,
-                    policy,
-                );
-                farron_cov_sum += coverage(&farron_out.report);
-                attrition.merge(&farron_out.attrition);
-                let root_b = DetRng::new(cfg.seed ^ 0xb ^ round as u64).fork_str(name);
-                let baseline_out = run_plan_requeue(
-                    processor,
-                    suite,
-                    &baseline_plan,
-                    ExecConfig::default(),
-                    &root_b,
-                    Some(Arc::clone(&ctx.unit_cache)),
-                    crate::requeue::round_label(name, round as u64, 1),
-                    plan,
-                    policy,
-                );
-                baseline_cov_sum += coverage(&baseline_out.report);
-                attrition.merge(&baseline_out.attrition);
-            }
-        }
+    let (mut farron_cov_sum, mut baseline_cov_sum) = (0.0, 0.0);
+    for round in 0..cfg.rounds.max(1) as u64 {
+        let root = DetRng::new(cfg.seed + round).fork_str(name);
+        farron_cov_sum += run_round(&farron_plan, burn_in_exec(), root, round, 0);
+        let root = DetRng::new(cfg.seed ^ 0xb ^ round).fork_str(name);
+        baseline_cov_sum += run_round(&baseline_plan, ExecConfig::default(), root, round, 1);
     }
     let rounds = cfg.rounds.max(1) as f64;
 
@@ -345,7 +314,7 @@ pub fn evaluate_with(
 /// One completed evaluation row plus its attrition accounting, in a
 /// serializable shape (`name` travels as a string and is mapped back to
 /// the [`EVAL_NAMES`] entry on restore).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalRowRecord {
     /// Processor name (must be one of [`EVAL_NAMES`]).
     pub name: String,
@@ -476,7 +445,7 @@ pub fn eval_fingerprint(cfg: &EvalConfig, plan: &FaultPlan) -> Fingerprint {
 
 /// Runs the evaluation on the caller's profile caches (see
 /// [`evaluate_with`]) with every regular round exposed to `plan`:
-/// interrupted test windows are re-queued ([`run_plan_requeue`]), lost
+/// interrupted test windows are retried ([`run_plan_requeue`]), lost
 /// windows are dropped from coverage, and the aggregated attrition is
 /// returned alongside the rows (in [`EVAL_NAMES`] order).
 ///
@@ -488,10 +457,11 @@ pub fn eval_fingerprint(cfg: &EvalConfig, plan: &FaultPlan) -> Fingerprint {
 /// [`CheckpointError::Corrupt`]. With a `store`, a snapshot is written
 /// every `store.every` rows and at the end.
 ///
-/// Note the quiet-plan rows differ from [`evaluate`]'s: the re-queue
-/// path forks each window's RNG from its plan index (so windows can be
-/// re-ordered), while the plain path draws sequentially. Within the
-/// chaos path, supervision is transparent — see the requeue tests.
+/// Note the quiet-plan rows differ from [`evaluate`]'s: the supervised
+/// path forks each window's RNG from its slot label (so a retried window
+/// reproduces its fault-free run), while the plain path draws
+/// sequentially. Within the chaos path, supervision is transparent — see
+/// the requeue tests.
 pub fn evaluate_resumable(
     cfg: &EvalConfig,
     plan: &FaultPlan,

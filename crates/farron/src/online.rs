@@ -17,7 +17,6 @@
 use crate::boundary::{AdaptiveBoundary, BoundaryAction};
 use fleet::screening::StaticProfile;
 use sdc_model::{DetRng, Duration, TestcaseId};
-use serde::{Deserialize, Serialize};
 use silicon::defect::DefectKind;
 use silicon::Processor;
 use thermal::{ThermalConfig, ThermalModel};
@@ -72,7 +71,7 @@ pub struct OnlineConfig {
 /// former has no impact on application performance, but unfortunately it
 /// is not widely applicable in Alibaba Cloud yet, so this work explores
 /// the latter." Both are implemented here so the trade-off is measurable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlMode {
     /// Limit workload utilization (the paper's deployed mechanism; costs
     /// application performance while active).

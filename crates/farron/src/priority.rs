@@ -11,11 +11,10 @@
 //! processor."
 
 use sdc_model::TestcaseId;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// The three priority levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TestPriority {
     /// Never detected anything in fleet history.
     Basic,
@@ -26,7 +25,7 @@ pub enum TestPriority {
 }
 
 /// Per-processor priority assignment backed by fleet-wide history.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PriorityBook {
     /// Testcases with fleet-wide detection history.
     fleet_active: HashSet<TestcaseId>,

@@ -1,21 +1,20 @@
-//! Chaos-aware test rounds: interrupted windows are re-queued.
+//! Chaos-aware test rounds: interrupted windows are retried.
 //!
 //! Farron's regular tests run *opportunistically on production machines*
 //! (§5), so a test window can be preempted by workload pressure, lose
 //! its runner, or hit a transient profile-read error mid-round. This
-//! module runs a [`TestPlan`] the way the deployed scheduler would:
-//! every entry gets its own RNG stream forked from `(round root, entry
-//! index)` — never from the sequential position in the round — so an
-//! entry that is interrupted and re-queued at the end of the round
-//! produces the *identical* [`toolchain::TestcaseRun`] it would have
-//! produced in place, and the report's runs stay in plan order no
-//! matter how the round was shuffled by faults.
+//! module runs a [`TestPlan`] under the fleet supervisor: each window is
+//! one [`run_slot`] slot, supervised in plan order. Every window gets
+//! its own RNG stream forked from `(round root, slot label)` — never
+//! from the sequential position in the round — and a fresh executor, so
+//! a window retried after a fault produces the *identical*
+//! [`toolchain::TestcaseRun`] a fault-free attempt would have, wherever
+//! in the round the retry happens.
 
-use fleet::chaos::{FaultPlan, OpFault};
-use fleet::supervisor::{AttritionStats, RetryPolicy, SlotError, SlotReport};
+use fleet::chaos::FaultPlan;
+use fleet::supervisor::{run_slot, AttritionStats, RetryPolicy, SlotError};
 use sdc_model::DetRng;
 use silicon::Processor;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use toolchain::{ExecConfig, Executor, ProfileCache, Suite, TestPlan, TestReport};
 
@@ -52,17 +51,14 @@ pub struct RequeueReport {
     pub attrition: AttritionStats,
 }
 
-/// Runs `plan` against `processor`, observing interrupted test windows
-/// and re-queuing them at the end of the round.
+/// Runs `plan` against `processor`, each window as one supervised
+/// slot.
 ///
-/// Faults are drawn from `chaos` per `(slot label, attempt)`; a window
-/// hit by [`OpFault::ProfileRead`] routes through the executor's
-/// profile-fault hook so the real fallible read path is exercised
-/// (note: a profile already resident in `cache` is not re-read, so the
-/// injected read error is absorbed — exactly as in production, where
-/// only cold reads touch storage). All other faults skip the window and
-/// re-queue it. Each window's RNG is `root.fork(slot label)`, re-forked
-/// fresh on every attempt: supervision is transparent to results.
+/// Faults are drawn from `chaos` per `(slot label, attempt)` by
+/// [`run_slot`]; a faulted attempt is retried with accounted backoff,
+/// and a window that exhausts `policy` is lost. The window runs on a
+/// fresh executor with its own RNG `root.fork(slot label)`:
+/// supervision is transparent to results.
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_requeue(
     processor: &Processor,
@@ -76,73 +72,32 @@ pub fn run_plan_requeue(
     policy: &RetryPolicy,
 ) -> RequeueReport {
     let cores: Vec<u16> = (0..processor.physical_cores).collect();
-    let n = plan.entries.len();
-    let mut runs: Vec<Option<toolchain::TestcaseRun>> = (0..n).map(|_| None).collect();
-    let mut reports: Vec<SlotReport> = (0..n).map(|_| SlotReport::default()).collect();
-    let mut queue: VecDeque<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
-
-    while let Some((idx, attempt)) = queue.pop_front() {
-        let label = slot_label(round_label, idx);
-        let slot = &mut reports[idx];
-        slot.attempts += 1;
-        let injected = chaos.draw(label, attempt);
-        match injected {
-            Some(OpFault::ProfileRead) | None => {
-                // A fresh executor per window: thermal and clock state
-                // must not leak between windows, or re-queue order would
-                // change results.
-                let mut executor = Executor::new(processor, cfg);
-                executor.set_cache(cache.clone());
-                if injected.is_some() {
-                    // Fail the next (cold) profile read through the real
-                    // executor path.
-                    executor.set_profile_fault_hook(Some(Arc::new(|_, _| true)));
-                }
-                let entry = &plan.entries[idx];
-                let tc = suite.get(entry.testcase);
-                let mut rng = root.fork(label);
-                let result = executor.try_run(tc, &cores, entry.duration, &mut rng);
-                match result {
-                    Ok(run) => runs[idx] = Some(run),
-                    Err(e) => {
-                        let err = SlotError::Exec(e);
-                        if let Some(kind) = err.fault_kind() {
-                            slot.faults_by_kind[kind.index()] += 1;
-                        }
-                        if err.is_retryable() && attempt + 1 < policy.max_attempts {
-                            slot.backoff_secs += policy.backoff_secs(chaos, label, attempt);
-                            queue.push_back((idx, attempt + 1));
-                        } else {
-                            slot.lost = Some(err);
-                        }
-                    }
-                }
-            }
-            Some(fault) => {
-                slot.faults_by_kind[fault.index()] += 1;
-                if attempt + 1 < policy.max_attempts {
-                    slot.backoff_secs += policy.backoff_secs(chaos, label, attempt);
-                    queue.push_back((idx, attempt + 1));
-                } else {
-                    slot.lost = Some(SlotError::Fault(fault));
-                }
-            }
-        }
-    }
-
-    let mut attrition = AttritionStats::default();
+    let mut runs = Vec::with_capacity(plan.entries.len());
     let mut lost = Vec::new();
-    for (idx, report) in reports.iter().enumerate() {
-        let completed = runs[idx].is_some();
-        attrition.record(completed, report);
-        if !completed {
-            lost.push(idx);
+    let mut attrition = AttritionStats::default();
+    for (idx, entry) in plan.entries.iter().enumerate() {
+        let label = slot_label(round_label, idx);
+        let tc = suite.get(entry.testcase);
+        let slot = run_slot(policy, chaos, label, || {
+            // A fresh executor per window: thermal and clock state must
+            // not leak between windows.
+            let mut executor = Executor::new(processor, cfg);
+            executor.set_cache(cache.clone());
+            let mut rng = root.fork(label);
+            executor
+                .try_run(tc, &cores, entry.duration, &mut rng)
+                .map_err(SlotError::Exec)
+        });
+        attrition.record(slot.result.is_some(), &slot.report);
+        match slot.result {
+            Some(run) => runs.push(run),
+            None => lost.push(idx),
         }
     }
     RequeueReport {
         report: TestReport {
             cpu: processor.id,
-            runs: runs.into_iter().flatten().collect(),
+            runs,
         },
         lost,
         attrition,
@@ -289,9 +244,9 @@ mod tests {
     #[test]
     fn interruption_at_the_last_slot_is_requeued_transparently() {
         // A fault plan crafted (by seed search) to hit ONLY the round's
-        // final window on its first attempt: the retry lands after every
-        // other window has drained, the exact situation where a
-        // position-derived RNG would silently shift results.
+        // final window on its first attempt: the retried window must
+        // reproduce the quiet round's run bit for bit, which an RNG or
+        // executor carried across attempts or windows would not.
         let suite = Suite::standard();
         let simd1 = catalog::by_name("SIMD1").unwrap().processor;
         let plan = mini_plan(&suite);

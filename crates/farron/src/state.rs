@@ -8,10 +8,9 @@
 
 use crate::decommission::{decide, DecommissionDecision};
 use sdc_model::CoreId;
-use serde::{Deserialize, Serialize};
 
 /// The three workflow states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FarronState {
     /// Adequate pre-production testing.
     PreProduction,
@@ -46,7 +45,7 @@ pub enum Transition {
 }
 
 /// The per-processor state machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StateMachine {
     state: FarronState,
     masked_cores: Vec<CoreId>,

@@ -1,6 +1,6 @@
 //! The end-to-end test campaign: lifecycle over the whole fleet.
 
-use crate::chaos::{FaultPlan, OpFault};
+use crate::chaos::FaultPlan;
 use crate::checkpoint::{
     run_checkpointed, Checkpoint, CheckpointError, CheckpointStore, Fingerprint, ItemRecord,
     ResumableRun,
@@ -219,22 +219,16 @@ pub fn run_campaign_resumable(
         |rec| Some(rec.index as usize),
         |i, processor| {
             let label = processor.id.0;
-            let slot = run_slot(policy, plan, label, |attempt| {
-                let fail_read = match attempt.injected {
-                    Some(OpFault::ProfileRead) => Some(attempt.index),
-                    Some(fault) => return Err(SlotError::Fault(fault)),
-                    None => None,
-                };
-                let profiles = profile_cache.get_or_build_fallible(
+            let slot = run_slot(policy, plan, label, || {
+                let profiles = profile_cache.get_or_build(
                     suite,
                     processor.physical_cores as usize,
                     cfg.threads,
-                    fail_read,
-                )?;
+                );
                 // Re-fork the fate stream from scratch every attempt:
                 // supervision is transparent to a successful slot's result.
                 let mut rng = root.fork(label);
-                Ok(processor_fate(
+                Ok::<_, SlotError>(processor_fate(
                     processor, suite, &profiles, &pipeline, clock_hz, &mut rng,
                 ))
             });

@@ -11,10 +11,9 @@
 //! determinism tests demand bitwise-identical outcomes.
 
 use sdc_model::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// The operational faults the plan can inject into a slot attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpFault {
     /// The machine hosting the slot is in an offline epoch (persists
     /// across consecutive attempts — a host that drops stays down for a
@@ -83,7 +82,7 @@ const MAX_OFFLINE_EPOCH: u64 = 3;
 
 /// A seeded operational-fault plan: per-attempt probabilities for each
 /// fault kind. `FaultPlan::default()` injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault process (independent of the campaign seed, so
     /// the same fleet can be replayed under different weather).

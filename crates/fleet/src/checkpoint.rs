@@ -28,7 +28,7 @@ use std::sync::Mutex;
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Identity of the campaign a checkpoint belongs to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Campaign seed.
     pub seed: u64,
@@ -46,7 +46,7 @@ serde::impl_json_struct!(Fingerprint {
 
 /// One completed slot: everything needed to reassemble the campaign
 /// outcome and its attrition stats without re-running the item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ItemRecord {
     /// Population index of the defective processor.
     pub index: u64,
@@ -131,7 +131,7 @@ impl ItemRecord {
 
 /// A versioned, fingerprinted snapshot of completed work items: campaign
 /// [`ItemRecord`]s, or the Farron evaluation's row records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint<R> {
     /// Format version ([`FORMAT_VERSION`]).
     pub version: u32,
@@ -397,9 +397,11 @@ mod tests {
     }
 
     fn record(index: usize, fate: Option<Fate>) -> ItemRecord {
-        let mut report = SlotReport::default();
-        report.attempts = 2;
-        report.backoff_secs = 31.5;
+        let mut report = SlotReport {
+            attempts: 2,
+            backoff_secs: 31.5,
+            ..SlotReport::default()
+        };
         report.faults_by_kind[OpFault::Preempted.index()] = 1;
         ItemRecord::of(index, ArchId(3), fate, &report)
     }

@@ -1,10 +1,9 @@
 //! The test-timing lifecycle of Figure 1.
 
 use sdc_model::Duration;
-use serde::{Deserialize, Serialize};
 
 /// The four test timings of Figure 1 / Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// After the manufactured chip is shipped to the cloud provider.
     Factory,
@@ -50,7 +49,7 @@ impl std::fmt::Display for Stage {
 }
 
 /// Intensity of one stage's toolchain pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSpec {
     /// The stage this spec describes.
     pub stage: Stage,

@@ -6,11 +6,10 @@
 //! million-CPU fleet materializes only a few hundred processors.
 
 use sdc_model::{ArchId, CpuId, DetRng};
-use serde::{Deserialize, Serialize};
 use silicon::{arch, population, Processor};
 
 /// Fleet generation parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     /// Total processors in the fleet (the paper studies >1M).
     pub total_cpus: u64,

@@ -248,29 +248,6 @@ impl SuiteProfileCache {
         .clone()
     }
 
-    /// Fallible [`SuiteProfileCache::get_or_build`]: when the fault
-    /// plan injects a transient profile-read error into the calling
-    /// attempt (`fail_attempt` is `Some`), the read fails *before*
-    /// touching the cache — nothing is cached, counters don't move, and
-    /// a retry with `fail_attempt == None` serves the identical profile.
-    /// The sentinel testcase id 0 marks a suite-level (not per-testcase)
-    /// read in the error.
-    pub fn get_or_build_fallible(
-        &self,
-        suite: &Suite,
-        machine_cores: usize,
-        build_threads: usize,
-        fail_attempt: Option<u32>,
-    ) -> Result<Arc<StaticSuiteProfile>, toolchain::ExecError> {
-        if let Some(attempt) = fail_attempt {
-            return Err(toolchain::ExecError::ProfileRead {
-                testcase: sdc_model::TestcaseId(0),
-                attempt,
-            });
-        }
-        Ok(self.get_or_build(suite, machine_cores, build_threads))
-    }
-
     /// Current counters (evictions are always zero: core counts are
     /// few, so this cache never evicts).
     pub fn stats(&self) -> CacheStats {

@@ -1,15 +1,17 @@
 //! Retry/backoff supervision for fault-exposed work slots.
 //!
 //! A slot is one unit of campaign work (one defective processor's
-//! lifecycle walk, one eval round). Under a [`FaultPlan`] a slot attempt
-//! can be hit by infrastructure faults or fail with a transient
-//! [`ExecError`]; the supervisor retries with exponential backoff +
-//! jitter — *accounted*, never slept, since campaign time is simulated —
-//! and gives up after a bounded number of attempts, marking the slot
-//! lost instead of panicking. Because every attempt re-forks the slot's
-//! RNG from scratch, a slot that eventually succeeds produces exactly
-//! the result an unsupervised run would have: supervision is transparent
-//! to outcomes (the property test in `crates/fleet/tests/prop.rs`).
+//! lifecycle walk, one eval test window). Under a [`FaultPlan`] a slot
+//! attempt can be hit by an injected infrastructure fault, which fails
+//! the attempt before its work runs; the supervisor retries with
+//! exponential backoff + jitter — *accounted*, never slept, since
+//! campaign time is simulated — and gives up after a bounded number of
+//! attempts, marking the slot lost instead of panicking. An
+//! [`ExecError`] from the work itself is permanent and loses the slot at
+//! once. Because every attempt re-forks the slot's RNG from scratch, a
+//! slot that eventually succeeds produces exactly the result an
+//! unsupervised run would have: supervision is transparent to outcomes
+//! (the property test in `crates/fleet/tests/prop.rs`).
 
 use crate::chaos::{FaultPlan, OpFault};
 use sdc_model::DetRng;
@@ -20,29 +22,17 @@ use toolchain::ExecError;
 pub enum SlotError {
     /// An injected operational fault hit the attempt.
     Fault(OpFault),
-    /// The executor failed (transient or not — see
-    /// [`ExecError::is_transient`]).
+    /// The work itself failed; the executor is deterministic, so a
+    /// retry would fail the same way.
     Exec(ExecError),
 }
 
 impl SlotError {
-    /// True when a later attempt can succeed.
+    /// True when a later attempt can succeed: injected infrastructure
+    /// faults are transient by definition (the machine comes back, the
+    /// runner restarts).
     pub fn is_retryable(&self) -> bool {
-        match self {
-            // All injected infrastructure faults are transient by
-            // definition: the machine comes back, the runner restarts.
-            SlotError::Fault(_) => true,
-            SlotError::Exec(e) => e.is_transient(),
-        }
-    }
-
-    /// The fault-kind counter this error belongs to, if any.
-    pub fn fault_kind(&self) -> Option<OpFault> {
-        match self {
-            SlotError::Fault(f) => Some(*f),
-            SlotError::Exec(ExecError::ProfileRead { .. }) => Some(OpFault::ProfileRead),
-            SlotError::Exec(_) => None,
-        }
+        matches!(self, SlotError::Fault(_))
     }
 }
 
@@ -52,12 +42,6 @@ impl std::fmt::Display for SlotError {
             SlotError::Fault(fault) => write!(f, "injected fault: {fault}"),
             SlotError::Exec(e) => write!(f, "executor error: {e}"),
         }
-    }
-}
-
-impl From<ExecError> for SlotError {
-    fn from(e: ExecError) -> Self {
-        SlotError::Exec(e)
     }
 }
 
@@ -106,29 +90,6 @@ impl RetryPolicy {
     }
 }
 
-/// One slot attempt, as seen by the work closure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Attempt {
-    /// 0-based attempt index.
-    pub index: u32,
-    /// The injected fault hitting this attempt, if any. The closure
-    /// decides how it surfaces — most map it straight to
-    /// `Err(SlotError::Fault(..))` via [`Attempt::surface_fault`];
-    /// profile-read faults instead route through the fallible profile
-    /// accessor so the real error path is exercised.
-    pub injected: Option<OpFault>,
-}
-
-impl Attempt {
-    /// Errors out if an injected fault hit this attempt.
-    pub fn surface_fault(&self) -> Result<(), SlotError> {
-        match self.injected {
-            Some(f) => Err(SlotError::Fault(f)),
-            None => Ok(()),
-        }
-    }
-}
-
 /// Per-slot supervision accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotReport {
@@ -165,49 +126,47 @@ pub struct SlotOutcome<R> {
 
 /// Runs one slot under `policy` and `plan`.
 ///
-/// `work` is invoked once per attempt with the attempt descriptor (its
-/// index and injected fault) and must be a pure function of it — in particular
-/// it must re-fork any RNG it uses from scratch, so a retried success is
-/// bitwise identical to a first-attempt success. Retryable failures
-/// accrue backoff and try again; a non-retryable failure or an exhausted
-/// attempt budget loses the slot (graceful degradation — the caller gets
-/// `None` plus accounting, not a panic).
+/// Each attempt first draws its injected fault from `plan` at `(label,
+/// attempt)`; a fault fails the attempt without calling `work`, is
+/// counted under its kind, accrues backoff and is retried. Otherwise
+/// `work` runs; it must be a pure function — in particular it must
+/// re-fork any RNG it uses from scratch, so a retried success is
+/// bitwise identical to a first-attempt success. An error from `work`
+/// or an exhausted attempt budget loses the slot (graceful degradation
+/// — the caller gets `None` plus accounting, not a panic).
 pub fn run_slot<R>(
     policy: &RetryPolicy,
     plan: &FaultPlan,
     label: u64,
-    mut work: impl FnMut(Attempt) -> Result<R, SlotError>,
+    mut work: impl FnMut() -> Result<R, SlotError>,
 ) -> SlotOutcome<R> {
     assert!(policy.max_attempts >= 1, "retry policy with zero attempts");
     let mut report = SlotReport::default();
     for index in 0..policy.max_attempts {
         report.attempts += 1;
-        let attempt = Attempt {
-            index,
-            injected: plan.draw(label, index),
-        };
-        match work(attempt) {
-            Ok(result) => {
-                return SlotOutcome {
-                    result: Some(result),
-                    report,
-                }
-            }
-            Err(e) => {
-                if let Some(kind) = e.fault_kind() {
-                    report.faults_by_kind[kind.index()] += 1;
-                }
-                let last = index + 1 == policy.max_attempts;
-                if !e.is_retryable() || last {
-                    report.lost = Some(e);
+        let err = match plan.draw(label, index) {
+            Some(fault) => SlotError::Fault(fault),
+            None => match work() {
+                Ok(result) => {
                     return SlotOutcome {
-                        result: None,
+                        result: Some(result),
                         report,
-                    };
+                    }
                 }
-                report.backoff_secs += policy.backoff_secs(plan, label, index);
-            }
+                Err(e) => e,
+            },
+        };
+        if let SlotError::Fault(kind) = err {
+            report.faults_by_kind[kind.index()] += 1;
         }
+        if !err.is_retryable() || index + 1 == policy.max_attempts {
+            report.lost = Some(err);
+            return SlotOutcome {
+                result: None,
+                report,
+            };
+        }
+        report.backoff_secs += policy.backoff_secs(plan, label, index);
     }
     unreachable!("attempt loop returns on success, loss, or exhaustion");
 }
@@ -304,11 +263,12 @@ mod tests {
     #[test]
     fn quiet_plan_is_single_attempt_passthrough() {
         let plan = FaultPlan::default();
-        let out = run_slot(&RetryPolicy::default(), &plan, 1, |a| {
-            assert_eq!(a.injected, None);
-            a.surface_fault()?;
+        let mut calls = 0;
+        let out = run_slot(&RetryPolicy::default(), &plan, 1, || {
+            calls += 1;
             Ok::<_, SlotError>(42u32)
         });
+        assert_eq!(calls, 1);
         assert_eq!(out.result, Some(42));
         assert_eq!(out.report.attempts, 1);
         assert_eq!(out.report.backoff_secs, 0.0);
@@ -324,14 +284,100 @@ mod tests {
         let label = (0..5000u64)
             .find(|&l| plan.draw(l, 0).is_some() && plan.draw(l, 1).is_none())
             .expect("a fault-then-clear slot exists");
-        let out = run_slot(&policy, &plan, label, |a| {
-            a.surface_fault()?;
+        let mut calls = 0;
+        let out = run_slot(&policy, &plan, label, || {
+            calls += 1;
             Ok::<_, SlotError>(7u32)
         });
+        assert_eq!(calls, 1, "the faulted attempt never reaches the work");
         assert_eq!(out.result, Some(7));
-        assert!(out.report.attempts >= 2);
-        assert!(out.report.backoff_secs > 0.0);
-        assert!(out.report.faults_by_kind.iter().sum::<u64>() >= 1);
+        assert_eq!(out.report.attempts, 2);
+        assert_eq!(
+            out.report.backoff_secs,
+            policy.backoff_secs(&plan, label, 0)
+        );
+        assert_eq!(out.report.faults_by_kind.iter().sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn work_runs_once_per_unfaulted_attempt() {
+        let plan = storm();
+        let policy = RetryPolicy::default();
+        let (mut retried, mut lost) = (0, 0);
+        for label in 0..2000u64 {
+            // Work that fails permanently on its first call, so every
+            // slot exercises both a fault-free attempt and the loss path.
+            for fail in [false, true] {
+                let mut calls = 0u32;
+                let out = run_slot(&policy, &plan, label, || {
+                    calls += 1;
+                    if fail {
+                        Err(SlotError::Exec(ExecError::NoCores))
+                    } else {
+                        Ok(label)
+                    }
+                });
+                let clean = (0..out.report.attempts)
+                    .filter(|&a| plan.draw(label, a).is_none())
+                    .count() as u32;
+                assert_eq!(calls, clean, "label {label}, fail {fail}");
+                assert!(calls <= 1, "the first clean attempt ends the slot");
+                assert_eq!(
+                    out.report.faults_by_kind.iter().sum::<u64>(),
+                    (out.report.attempts - calls) as u64
+                );
+                assert_eq!(out.result.is_some(), !fail && calls == 1);
+                retried += u32::from(out.report.attempts > 1);
+                lost += u32::from(out.result.is_none() && calls == 0);
+            }
+        }
+        assert!(retried > 0 && lost > 0, "storm too weak: {retried} {lost}");
+    }
+
+    #[test]
+    fn profile_read_faults_count_and_retry_like_preemption() {
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
+        let only = |read_error, preempt| FaultPlan {
+            seed: 4,
+            read_error,
+            preempt,
+            ..FaultPlan::default()
+        };
+        let run = |plan: &FaultPlan, label| {
+            let mut calls = 0;
+            let out = run_slot(&policy, plan, label, || {
+                calls += 1;
+                Ok::<_, SlotError>(())
+            });
+            (out, calls)
+        };
+        // Every attempt faulted: both kinds exhaust the same budget with
+        // the same backoff, each counted under its own kind.
+        let (read, read_calls) = run(&only(1.0, 0.0), 9);
+        let (pre, pre_calls) = run(&only(0.0, 1.0), 9);
+        assert_eq!((read_calls, pre_calls), (0, 0));
+        assert_eq!(read.report.attempts, 3);
+        assert_eq!(read.report.attempts, pre.report.attempts);
+        assert_eq!(read.report.backoff_secs, pre.report.backoff_secs);
+        assert_eq!(read.report.faults_by_kind, [0, 0, 0, 3, 0]);
+        assert_eq!(pre.report.faults_by_kind, [0, 0, 3, 0, 0]);
+        assert_eq!(
+            read.report.lost,
+            Some(SlotError::Fault(OpFault::ProfileRead))
+        );
+        // A read error then a clean attempt: retried, then the work runs.
+        let plan = only(0.5, 0.0);
+        let label = (0..5000u64)
+            .find(|&l| plan.draw(l, 0) == Some(OpFault::ProfileRead) && plan.draw(l, 1).is_none())
+            .expect("a read-error-then-clear slot exists");
+        let (out, calls) = run(&plan, label);
+        assert_eq!(calls, 1);
+        assert_eq!(out.result, Some(()));
+        assert_eq!(out.report.attempts, 2);
+        assert_eq!(out.report.faults_by_kind[OpFault::ProfileRead.index()], 1);
     }
 
     #[test]
@@ -345,9 +391,8 @@ mod tests {
             max_attempts: 3,
             ..RetryPolicy::default()
         };
-        let out = run_slot(&policy, &plan, 9, |a| {
-            a.surface_fault()?;
-            Ok::<_, SlotError>(0u32)
+        let out = run_slot(&policy, &plan, 9, || -> Result<u32, SlotError> {
+            panic!("every attempt is faulted; the work never runs")
         });
         assert_eq!(out.result, None);
         assert_eq!(out.report.attempts, 3);
@@ -362,13 +407,14 @@ mod tests {
     fn permanent_errors_do_not_retry() {
         let plan = FaultPlan::default();
         let mut calls = 0;
-        let out = run_slot(&RetryPolicy::default(), &plan, 2, |_| {
+        let out = run_slot(&RetryPolicy::default(), &plan, 2, || {
             calls += 1;
             Err::<u32, _>(SlotError::Exec(ExecError::NoCores))
         });
         assert_eq!(calls, 1, "permanent errors must not retry");
         assert_eq!(out.result, None);
         assert_eq!(out.report.lost, Some(SlotError::Exec(ExecError::NoCores)));
+        assert_eq!(out.report.faults_by_kind.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -389,14 +435,18 @@ mod tests {
     #[test]
     fn attrition_stats_aggregate() {
         let mut stats = AttritionStats::default();
-        let mut r1 = SlotReport::default();
-        r1.attempts = 3;
+        let mut r1 = SlotReport {
+            attempts: 3,
+            backoff_secs: 60.0,
+            ..SlotReport::default()
+        };
         r1.faults_by_kind[OpFault::Preempted.index()] = 2;
-        r1.backoff_secs = 60.0;
         stats.record(true, &r1);
-        let mut r2 = SlotReport::default();
-        r2.attempts = 6;
-        r2.lost = Some(SlotError::Fault(OpFault::MachineOffline));
+        let r2 = SlotReport {
+            attempts: 6,
+            lost: Some(SlotError::Fault(OpFault::MachineOffline)),
+            ..SlotReport::default()
+        };
         stats.record(false, &r2);
         assert_eq!(stats.items, 2);
         assert_eq!(stats.completed, 1);
@@ -404,16 +454,5 @@ mod tests {
         assert_eq!(stats.retries, 2 + 5);
         assert_eq!(stats.total_faults(), 2);
         assert!((stats.coverage() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn profile_read_exec_error_counts_as_profile_fault() {
-        let e = SlotError::Exec(ExecError::ProfileRead {
-            testcase: sdc_model::TestcaseId(0),
-            attempt: 0,
-        });
-        assert!(e.is_retryable());
-        assert_eq!(e.fault_kind(), Some(OpFault::ProfileRead));
-        assert_eq!(SlotError::Exec(ExecError::NoCores).fault_kind(), None);
     }
 }

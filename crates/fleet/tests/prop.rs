@@ -144,10 +144,7 @@ proptest! {
             timeout: 0.10,
         };
         let policy = RetryPolicy::default();
-        let slot = run_slot(&policy, &plan, label, |attempt| {
-            attempt.surface_fault()?;
-            run_once().map_err(SlotError::Exec)
-        });
+        let slot = run_slot(&policy, &plan, label, || run_once().map_err(SlotError::Exec));
         match slot.result {
             Some(run) => prop_assert_eq!(run, unsupervised, "supervised result drifted"),
             None => prop_assert_eq!(

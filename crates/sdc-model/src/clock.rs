@@ -6,14 +6,11 @@
 //! clock, so experiments are deterministic and fast regardless of the
 //! wall-clock cost of the simulation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A span of virtual time with microsecond resolution.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration {
     micros: u64,
 }
@@ -160,7 +157,7 @@ impl fmt::Display for Duration {
 serde::impl_json_struct!(Duration { micros });
 
 /// A monotonically advancing virtual clock.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VirtualClock {
     now: Duration,
 }

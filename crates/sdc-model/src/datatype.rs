@@ -4,11 +4,10 @@
 //! bin16, bin32, bin64; Table 3 additionally mentions f64x (80-bit extended
 //! precision) and Figure 4(d)/(h) analyse it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A datatype an operation (and thus an SDC) can act on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DataType {
     /// 16-bit signed integer.
     I16,

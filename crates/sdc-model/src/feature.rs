@@ -6,11 +6,10 @@
 //! *computation* and *consistency* — that demand different testing
 //! strategies (consistency SDCs only manifest under multi-threaded tests).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A processor feature that can harbour an SDC-producing defect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Feature {
     /// Arithmetic logic computation (integer ALU, bit operations, shifts).
     Alu,
@@ -75,7 +74,7 @@ impl fmt::Display for Feature {
 /// The paper distinguishes them because (1) consistency SDCs can only be
 /// detected with multi-threaded tests, and (2) when one processor has
 /// multiple defective features, they always belong to one type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SdcType {
     /// Wrong results from defective arithmetic operations.
     Computation,

@@ -1,10 +1,9 @@
 //! Identifiers for processors, cores, testcases, and study settings.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a processor (a physical CPU package) in the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CpuId(pub u64);
 
 impl fmt::Display for CpuId {
@@ -18,7 +17,7 @@ impl fmt::Display for CpuId {
 /// Multiple hardware threads (logical cores) may share one physical core;
 /// the study attributes defects to physical cores (Observation 4), so this
 /// is the granularity used throughout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u16);
 
 impl fmt::Display for CoreId {
@@ -28,7 +27,7 @@ impl fmt::Display for CoreId {
 }
 
 /// Identifier of a testcase in the toolchain (the paper's toolchain has 633).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TestcaseId(pub u32);
 
 impl fmt::Display for TestcaseId {
@@ -38,7 +37,7 @@ impl fmt::Display for TestcaseId {
 }
 
 /// A micro-architecture generation, `M1`–`M9` in the paper's Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArchId(pub u8);
 
 impl ArchId {
@@ -64,7 +63,7 @@ impl fmt::Display for ArchId {
 /// (Section 5): "Since the occurrence frequency depends on both the CPU and
 /// the workload (i.e., testcase), we record the occurrence frequency per
 /// setting."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SettingId {
     /// The processor under test.
     pub cpu: CpuId,

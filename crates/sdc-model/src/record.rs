@@ -11,10 +11,9 @@ use crate::datatype::DataType;
 use crate::feature::SdcType;
 use crate::ids::SettingId;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Direction of a single bitflip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlipDirection {
     /// The expected bit was 0, the actual bit is 1.
     ZeroToOne,
@@ -23,7 +22,7 @@ pub enum FlipDirection {
 }
 
 /// One detected silent data corruption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SdcRecord {
     /// The setting (CPU, physical core, testcase) that produced the error.
     pub setting: SettingId,

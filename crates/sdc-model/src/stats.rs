@@ -5,8 +5,6 @@
 //! plots CDFs of precision losses (Figure 4e–h) and per-bit histograms
 //! (Figures 4–5). This module provides those primitives.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean. Returns `None` on an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
@@ -28,7 +26,7 @@ pub fn stddev(xs: &[f64]) -> Option<f64> {
 }
 
 /// Result of an ordinary-least-squares line fit `y ≈ slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinFit {
     /// Fitted slope.
     pub slope: f64,
@@ -91,7 +89,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 }
 
 /// An empirical cumulative distribution function.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -157,7 +155,7 @@ impl Cdf {
 }
 
 /// A fixed-bin histogram over `[lo, hi)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

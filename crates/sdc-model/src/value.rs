@@ -7,10 +7,9 @@
 //! numerically — including the 80-bit x87 extended format.
 
 use crate::datatype::DataType;
-use serde::{Deserialize, Serialize};
 
 /// A typed value stored as its raw bit representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Value {
     /// The datatype of the representation.
     pub dt: DataType,

@@ -21,11 +21,10 @@
 //!   reference, gated by a minimum triggering temperature.
 
 use sdc_model::{DataType, DetRng};
-use serde::{Deserialize, Serialize};
 use softcore::InstClass;
 
 /// A fixed bitflip pattern with a selection weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BitPattern {
     /// XOR mask applied to the correct result (within the datatype width).
     pub mask: u128,
@@ -34,7 +33,7 @@ pub struct BitPattern {
 }
 
 /// Where in the package the defect lives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DefectScope {
     /// A single defective physical core.
     SingleCore(u16),
@@ -76,7 +75,7 @@ impl DefectScope {
 }
 
 /// What the defect breaks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DefectKind {
     /// Wrong results from specific instruction classes on specific
     /// datatypes.
@@ -124,7 +123,7 @@ impl DefectKind {
 }
 
 /// When the defect fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trigger {
     /// Corruption probability per matching event at the reference
     /// temperature (before per-core scaling).
@@ -161,7 +160,7 @@ impl Trigger {
 }
 
 /// One silicon defect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Defect {
     /// What the defect breaks.
     pub kind: DefectKind,

@@ -3,11 +3,10 @@
 use crate::arch;
 use crate::defect::Defect;
 use sdc_model::{ArchId, CoreId, CpuId, Feature, SdcType};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A processor package in the fleet, possibly defective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Processor {
     /// Fleet-wide identity.
     pub id: CpuId,

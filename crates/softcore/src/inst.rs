@@ -6,10 +6,9 @@
 //! used for bit-level SDC records.
 
 use sdc_model::{DataType, Feature};
-use serde::{Deserialize, Serialize};
 
 /// Integer ALU operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntOpKind {
     /// Wrapping addition.
     Add,
@@ -45,7 +44,7 @@ impl IntOpKind {
 }
 
 /// Scalar floating-point precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// IEEE-754 single precision.
     F32,
@@ -64,7 +63,7 @@ impl Precision {
 }
 
 /// Scalar floating-point operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FOpKind {
     /// Addition.
     Add,
@@ -88,7 +87,7 @@ impl FOpKind {
 }
 
 /// x87 extended-precision operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum XOpKind {
     /// Addition.
     Add,
@@ -101,7 +100,7 @@ pub enum XOpKind {
 }
 
 /// Vector lane interpretation of a 256-bit register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneType {
     /// Eight `f32` lanes.
     F32x8,
@@ -131,7 +130,7 @@ impl LaneType {
 }
 
 /// Vector operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VOpKind {
     /// Lane-wise addition.
     Add,
@@ -158,7 +157,7 @@ impl VOpKind {
 }
 
 /// One instruction of the softcore ISA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Inst {
     /// Load an immediate into an integer register.
     MovImm {
@@ -435,7 +434,7 @@ pub enum Inst {
 /// the cycle/energy model. Each class maps to one of the paper's five
 /// vulnerable features (or to `None` for control instructions that cannot
 /// silently corrupt data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InstClass {
     /// Integer add/sub.
     IntArith,

@@ -7,10 +7,9 @@
 //! and also drive the usage-stress triggering condition of Observation 10.
 
 use crate::inst::InstClass;
-use serde::{Deserialize, Serialize};
 
 /// Per-core, per-class execution counts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UsageCounters {
     counts: Vec<[u64; InstClass::ALL.len()]>,
 }

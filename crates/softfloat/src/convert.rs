@@ -151,7 +151,7 @@ mod tests {
             1.0,
             -1.0,
             0.5,
-            3.141592653589793,
+            std::f64::consts::PI,
             1e300,
             1e-300,
             -42.125,

@@ -20,10 +20,9 @@
 //! fidelity.
 
 use sdc_model::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of the package thermal model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThermalConfig {
     /// Core temperature at idle (the paper quotes ~45 ℃ idle for MIX1).
     pub idle_temp_c: f64,
@@ -56,7 +55,7 @@ impl Default for ThermalConfig {
 }
 
 /// Dynamic thermal state of a package.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThermalModel {
     cfg: ThermalConfig,
     temps: Vec<f64>,

@@ -1,11 +1,10 @@
 //! Typed errors for the fallible executor surface.
 //!
-//! The fleet supervisor (PR 2) retries slots that fail for operational
-//! reasons; to make that possible the executor paths expose `Result`s
-//! with errors that distinguish *retryable* operational failures
-//! (transient profile reads, exceeded step budgets under injected
-//! faults) from caller bugs (which stay panics naming the violated
-//! invariant).
+//! The executor is deterministic, so these errors are permanent: the
+//! same run fails the same way on every attempt. Operational faults
+//! (machines offline, preemptions, profile-read errors, …) are injected
+//! and retried by the fleet supervisor, not raised here; caller bugs stay
+//! panics naming the violated invariant.
 
 use sdc_model::TestcaseId;
 
@@ -36,23 +35,6 @@ pub enum ExecError {
         /// The configured budget.
         budget: u64,
     },
-    /// Reading (computing) the unit profile failed transiently — the
-    /// operational-fault model's "profile read error". Retryable: the
-    /// profile is a pure function of its key, so a later attempt with
-    /// the same key yields the identical profile.
-    ProfileRead {
-        /// The testcase whose profile read failed.
-        testcase: TestcaseId,
-        /// Which read attempt this was (0-based), for log context.
-        attempt: u32,
-    },
-}
-
-impl ExecError {
-    /// True for failures worth retrying (transient by construction).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ExecError::ProfileRead { .. })
-    }
 }
 
 impl std::fmt::Display for ExecError {
@@ -69,11 +51,6 @@ impl std::fmt::Display for ExecError {
             ExecError::StepBudget { testcase, budget } => {
                 write!(f, "testcase {} exceeded {budget} VM steps", testcase.0)
             }
-            ExecError::ProfileRead { testcase, attempt } => write!(
-                f,
-                "transient profile-read error for testcase {} (attempt {attempt})",
-                testcase.0
-            ),
         }
     }
 }
@@ -85,31 +62,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transience_classification() {
-        assert!(ExecError::ProfileRead {
-            testcase: TestcaseId(3),
-            attempt: 0
-        }
-        .is_transient());
-        assert!(!ExecError::NoCores.is_transient());
-        assert!(!ExecError::StepBudget {
-            testcase: TestcaseId(1),
-            budget: 10
-        }
-        .is_transient());
-    }
-
-    #[test]
     fn display_names_the_failure() {
         let e = ExecError::CoreOutOfRange {
             core: 9,
             physical_cores: 8,
         };
         assert!(e.to_string().contains("core 9"));
-        let e = ExecError::ProfileRead {
-            testcase: TestcaseId(77),
-            attempt: 2,
-        };
-        assert!(e.to_string().contains("77"));
     }
 }

@@ -285,11 +285,6 @@ fn materialize_computation(
     }
 }
 
-/// Operational-fault hook for profile reads: `(key, read attempt)` →
-/// "this read fails". Must be a pure function of its arguments for
-/// deterministic campaigns.
-pub type ProfileFaultHook = Arc<dyn Fn(&ProfileKey, u32) -> bool + Send + Sync>;
-
 /// Executes testcases against one (possibly defective) processor.
 pub struct Executor<'p> {
     /// The processor under test.
@@ -301,14 +296,6 @@ pub struct Executor<'p> {
     cfg: ExecConfig,
     /// Shared unit-profile memoization; `None` computes every profile.
     cache: Option<Arc<ProfileCache>>,
-    /// Operational-fault hook for profile reads: when it returns `true`
-    /// for a key, that read fails with [`ExecError::ProfileRead`]. Used
-    /// by the chaos layer to model transient infrastructure errors; the
-    /// hook must be a pure function of its arguments for determinism.
-    profile_fault: Option<ProfileFaultHook>,
-    /// Profile reads attempted so far (feeds the fault hook's attempt
-    /// counter and the supervisor's per-item accounting).
-    profile_reads: u32,
 }
 
 impl std::fmt::Debug for Executor<'_> {
@@ -317,7 +304,6 @@ impl std::fmt::Debug for Executor<'_> {
             .field("processor", &self.processor.id)
             .field("cfg", &self.cfg)
             .field("cached", &self.cache.is_some())
-            .field("profile_fault_hook", &self.profile_fault.is_some())
             .finish()
     }
 }
@@ -331,8 +317,6 @@ impl<'p> Executor<'p> {
             clock: VirtualClock::new(),
             cfg,
             cache: None,
-            profile_fault: None,
-            profile_reads: 0,
         }
     }
 
@@ -350,45 +334,20 @@ impl<'p> Executor<'p> {
         self.cache = cache;
     }
 
-    /// Installs an operational-fault hook for profile reads. The hook is
-    /// called with the profile key and a 0-based read-attempt counter;
-    /// returning `true` fails that read with [`ExecError::ProfileRead`].
-    /// For deterministic campaigns the hook must be a pure function of
-    /// its arguments (e.g. a seeded fault-plan draw).
-    pub fn set_profile_fault_hook(&mut self, hook: Option<ProfileFaultHook>) {
-        self.profile_fault = hook;
-    }
-
     /// Profiles one unit of `tc` on the VM (through the shared cache when
     /// one is attached). The profile is a pure function of the
     /// [`ProfileKey`] — the RNG driving the unit run is derived from the
     /// key, not from the caller's stream — so every executor observes the
     /// same profile for the same key.
-    ///
-    /// Fails with [`ExecError::ProfileRead`] when the installed fault
-    /// hook fires for this read; nothing is cached in that case, so a
-    /// retry re-reads (and, absent another fault, succeeds with the
-    /// identical profile).
-    fn try_profile_unit(
-        &mut self,
-        tc: &Testcase,
-        cores: &[u16],
-    ) -> Result<Arc<CachedUnitProfile>, ExecError> {
-        let key = ProfileKey::of(tc.id, cores.len(), &self.cfg);
-        let attempt = self.profile_reads;
-        self.profile_reads = self.profile_reads.wrapping_add(1);
-        if let Some(hook) = &self.profile_fault {
-            if hook(&key, attempt) {
-                return Err(ExecError::ProfileRead {
-                    testcase: tc.id,
-                    attempt,
-                });
-            }
-        }
-        Ok(match &self.cache {
+    fn profile_unit(&self, tc: &Testcase, cores: &[u16]) -> Arc<CachedUnitProfile> {
+        match &self.cache {
             Some(cache) => cache.profile(tc, cores.len(), &self.cfg),
-            None => Arc::new(compute_unit_profile(tc, key, &self.cfg)),
-        })
+            None => Arc::new(compute_unit_profile(
+                tc,
+                ProfileKey::of(tc.id, cores.len(), &self.cfg),
+                &self.cfg,
+            )),
+        }
     }
 
     /// Validates the core selection shared by both run modes.
@@ -416,8 +375,7 @@ impl<'p> Executor<'p> {
     /// # Panics
     ///
     /// Panics if the core selection violates [`Executor::try_run`]'s
-    /// invariants or an installed profile-fault hook fires — infallible
-    /// callers (studies, figures) never install one.
+    /// invariants.
     pub fn run(
         &mut self,
         tc: &Testcase,
@@ -429,9 +387,9 @@ impl<'p> Executor<'p> {
             .unwrap_or_else(|e| panic!("invariant violated: executor run of {}: {e}", tc.name))
     }
 
-    /// Fallible accelerated run: validates the core selection and the
-    /// profile read instead of panicking, so a supervisor can retry
-    /// transient failures.
+    /// Fallible accelerated run: validates the core selection instead of
+    /// panicking, so a supervised caller loses the slot with a typed
+    /// error.
     ///
     /// This is the event-skipping fast path. It is bitwise identical to
     /// [`Executor::try_run_reference`] — same [`TestcaseRun`], same RNG
@@ -464,7 +422,7 @@ impl<'p> Executor<'p> {
             return self.try_run_reference(tc, cores, duration, rng);
         }
         self.check_cores(tc, cores)?;
-        let unit = self.try_profile_unit(tc, cores)?;
+        let unit = self.profile_unit(tc, cores);
         let profiles = &unit.profiles;
         let sampler_samples = &unit.profiler;
         let processor = self.processor;
@@ -735,7 +693,7 @@ impl<'p> Executor<'p> {
         rng: &mut DetRng,
     ) -> Result<TestcaseRun, ExecError> {
         self.check_cores(tc, cores)?;
-        let unit = self.try_profile_unit(tc, cores)?;
+        let unit = self.profile_unit(tc, cores);
         let profiles = &unit.profiles;
         let sampler_samples = &unit.profiler;
 

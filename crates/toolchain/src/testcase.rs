@@ -1,13 +1,12 @@
 //! Testcase descriptors.
 
 use sdc_model::{DataType, Feature, TestcaseId};
-use serde::{Deserialize, Serialize};
 use softcore::Program;
 
 /// Workload complexity tiers (§2.3: "Some execute a specific instruction
 /// within a loop. Some call functions in libraries. Some invoke
 /// application logics.").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// A specific instruction executed within a loop.
     InstLoop,
@@ -18,7 +17,7 @@ pub enum WorkloadKind {
 }
 
 /// The concrete workload recipe of a testcase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// Integer ALU loop on one datatype.
     IntLoop {
@@ -130,7 +129,7 @@ serde::impl_json_enum_struct!(WorkloadSpec {
 });
 
 /// One toolchain testcase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Testcase {
     /// Stable identity within the suite.
     pub id: TestcaseId,
@@ -148,7 +147,7 @@ pub struct Testcase {
 }
 
 /// An output region to compare against a golden run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutputRegion {
     /// Byte address of element 0.
     pub addr: u64,
@@ -161,7 +160,7 @@ pub struct OutputRegion {
 }
 
 /// Consistency invariants checked after a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Invariant {
     /// The word at `addr` must equal `value`.
     Equals {
@@ -186,7 +185,7 @@ pub enum Invariant {
 }
 
 /// How SDCs are detected for a testcase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CheckKind {
     /// Compare output regions against a golden (fault-free) run.
     GoldenCompare,

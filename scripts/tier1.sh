@@ -31,9 +31,10 @@ cargo test -q
 echo "== tier-1: workspace tests (every crate, release) =="
 cargo test --workspace -q --release
 
+# The campaign (checkpointed) and the Farron eval's supervised rounds.
 echo "== tier-1: chaos smoke run (--quick --chaos) =="
 ck="$(mktemp -u "${TMPDIR:-/tmp}/tier1-chaos-XXXXXX.json")"
-./target/release/repro table1 --quick --chaos "offline=0.05,preempt=0.10,seed=7" --checkpoint "$ck"
+./target/release/repro table1 table4 --quick --chaos "offline=0.05,preempt=0.10,seed=7" --checkpoint "$ck"
 rm -f "$ck"
 
 echo "== tier-1: softcore fast-path regression gate (bench --quick) =="
@@ -45,8 +46,8 @@ cargo bench -q -p bench --bench campaign_hotpath -- --quick
 echo "== tier-1: benchmark builds and passes its tests (perfbench) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== tier-1: clippy (linted crates) =="
-cargo clippy -q -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis -p sdc-repro -p conformance -p silicon -p bench -p thermal -p softfloat -p ftol -- -D warnings -D clippy::perf
+echo "== tier-1: clippy (linted crates, tests and benches too) =="
+cargo clippy -q --all-targets -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis -p sdc-repro -p conformance -p silicon -p bench -p thermal -p softfloat -p ftol -- -D warnings -D clippy::perf
 
 # Broken or ambiguous intra-doc links (e.g. to a deleted item) fail here.
 echo "== tier-1: rustdoc (warnings are errors) =="

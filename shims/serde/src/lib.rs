@@ -2,12 +2,13 @@
 //!
 //! The build container has no network access, so the workspace ships a
 //! minimal stand-in: the `Serialize` / `Deserialize` traits here target
-//! JSON directly (there is exactly one data format in this repo), and
-//! the re-exported derive macros from the local `serde_derive` shim are
-//! deliberate no-ops so every `#[derive(Serialize, Deserialize)]` site
-//! keeps compiling. Types whose JSON round-trip is actually exercised
-//! implement the traits explicitly via the `impl_json_*` macros below,
-//! which mirror serde's encoding conventions:
+//! JSON directly (there is exactly one data format in this repo). The
+//! re-exported derive macros from the local `serde_derive` shim expand
+//! to nothing and no workspace type uses them; they stay re-exported so
+//! the crate graph (and `perfbench/Cargo.lock`) is unchanged. Types
+//! whose JSON round-trip is exercised implement the traits explicitly
+//! via the `impl_json_*` macros below, which mirror serde's encoding
+//! conventions:
 //!
 //! - structs            -> `{"field":value,...}`
 //! - newtype structs    -> the inner value

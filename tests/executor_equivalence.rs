@@ -4,14 +4,14 @@
 //! everything observable — the `TestcaseRun` (records, counts, stats),
 //! the caller's RNG stream position, the persisted thermal state, and
 //! the virtual clock — across seeds, core selections, zero-rate and
-//! nonzero-rate defect mixes, configs, and chaos profile-fault plans.
+//! nonzero-rate defect mixes, and configs.
 
 use rand::RngCore as _;
 use sdc_model::{ArchId, CpuId, DataType, DetRng, Duration};
 use silicon::{catalog, BitPattern, Defect, DefectKind, DefectScope, Processor, Trigger};
 use softcore::InstClass;
 use std::sync::Arc;
-use toolchain::{ExecConfig, ExecError, Executor, ProfileCache, Suite, TestcaseRun};
+use toolchain::{ExecConfig, Executor, ProfileCache, Suite, TestcaseRun};
 
 /// Testcases some defect of `p` applies to, by name prefix.
 fn applicable_tc(suite: &Suite, prefix: &str, p: &Processor) -> sdc_model::TestcaseId {
@@ -301,54 +301,4 @@ fn zero_duration_run_matches_reference() {
             (tc, &[3], Duration::from_mins(2)),
         ],
     );
-}
-
-#[test]
-fn chaos_profile_faults_match_reference() {
-    // A fault plan that fails the first profile read: both paths must
-    // surface the identical typed error, then retry identically (the
-    // chaos supervisor's requeue pattern).
-    let suite = Suite::standard();
-    let fpu1 = catalog::by_name("FPU1").unwrap().processor;
-    let tc_id = applicable_tc(&suite, "fpu/atan/f64/", &fpu1);
-    let tc = suite.get(tc_id);
-
-    let mut fast = Executor::new(&fpu1, ExecConfig::default());
-    let mut reference = Executor::new(
-        &fpu1,
-        ExecConfig {
-            reference_executor: true,
-            ..ExecConfig::default()
-        },
-    );
-    for ex in [&mut fast, &mut reference] {
-        ex.set_profile_fault_hook(Some(Arc::new(|_, attempt| attempt == 0)));
-    }
-    let mut rng_fast = DetRng::new(17);
-    let mut rng_ref = DetRng::new(17);
-    let d = Duration::from_mins(5);
-    let a = fast.try_run(tc, &[3], d, &mut rng_fast);
-    let b = reference.try_run(tc, &[3], d, &mut rng_ref);
-    assert!(
-        matches!(a, Err(ExecError::ProfileRead { .. })),
-        "fault hook must fire: {a:?}"
-    );
-    match (&a, &b) {
-        (
-            Err(ExecError::ProfileRead {
-                testcase: ta,
-                attempt: aa,
-            }),
-            Err(ExecError::ProfileRead {
-                testcase: tb,
-                attempt: ab,
-            }),
-        ) => assert_eq!((ta, aa), (tb, ab)),
-        other => panic!("paths disagree under faults: {other:?}"),
-    }
-    // Retry succeeds identically on both.
-    let a = fast.try_run(tc, &[3], d, &mut rng_fast).unwrap();
-    let b = reference.try_run(tc, &[3], d, &mut rng_ref).unwrap();
-    assert_eq!(a, b);
-    assert_eq!(rng_fast.next_u64(), rng_ref.next_u64());
 }
