@@ -239,8 +239,8 @@ fn eval_row(
         .iter()
         .copied()
         .max_by(|&a, &b| {
-            let pa = fleet::screening::StaticProfile::of(suite.get(a), n_cores).power;
-            let pb = fleet::screening::StaticProfile::of(suite.get(b), n_cores).power;
+            let pa = profiles.get(a.0 as usize).power;
+            let pb = profiles.get(b.0 as usize).power;
             pa.partial_cmp(&pb).expect("finite power")
         })
         .unwrap_or(TestcaseId(0));

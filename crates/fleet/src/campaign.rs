@@ -242,7 +242,7 @@ pub fn run_campaign_resumable(
         let mut lost = Vec::new();
         for rec in &records {
             let fate = rec.fate();
-            attrition.record(fate.is_some(), &rec.report());
+            attrition.record_counts(fate.is_some(), rec.attempts, &rec.faults, rec.backoff_secs);
             match fate {
                 Some(fate) => fates.push((ArchId(rec.arch), fate)),
                 None => lost.push(rec.index),
@@ -274,13 +274,18 @@ fn processor_fate(
     let activation = sample_activation_age(rng);
     for spec in pipeline {
         if spec.stage == Stage::Regular {
-            // One round every three months for the processor's life.
+            // One round every three months for the processor's life. A
+            // round's probability depends on neither the round nor its
+            // age, so it is computed once, on the first active round.
+            let mut p_round = None;
             for round in 0..StageSpec::regular_rounds(processor.age_years) {
                 let round_age = spec.age_years + 0.25 * round as f64;
                 if round_age < activation {
                     continue;
                 }
-                let p = stage_detection_probability(processor, suite, profiles, spec, clock_hz);
+                let p = *p_round.get_or_insert_with(|| {
+                    stage_detection_probability(processor, suite, profiles, spec, clock_hz)
+                });
                 if rng.chance(p) {
                     return Fate::Caught(Stage::Regular, round);
                 }

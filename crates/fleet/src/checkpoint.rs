@@ -16,8 +16,7 @@
 
 use crate::campaign::Fate;
 use crate::lifecycle::Stage;
-use crate::supervisor::{SlotReport, SlotError};
-use crate::chaos::OpFault;
+use crate::supervisor::SlotReport;
 use sdc_model::ArchId;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -60,7 +59,7 @@ pub struct ItemRecord {
     pub lost: bool,
     /// Attempts made.
     pub attempts: u32,
-    /// Faults observed, by [`OpFault::index`] (length 5).
+    /// Faults observed, by [`crate::chaos::OpFault::index`] (length 5).
     pub faults: Vec<u64>,
     /// Accounted backoff seconds.
     pub backoff_secs: f64,
@@ -105,26 +104,6 @@ impl ItemRecord {
                 Some(s) => Some(Fate::Caught(s, self.round)),
                 None => Some(Fate::Escaped),
             }
-        }
-    }
-
-    /// Reconstructs the slot report for attrition accounting.
-    pub fn report(&self) -> SlotReport {
-        let mut faults = [0u64; OpFault::ALL.len()];
-        for (acc, &n) in faults.iter_mut().zip(self.faults.iter()) {
-            *acc = n;
-        }
-        SlotReport {
-            attempts: self.attempts,
-            faults_by_kind: faults,
-            backoff_secs: self.backoff_secs,
-            // The concrete losing error is not persisted — only that the
-            // slot was lost — so reconstruction marks it generically.
-            lost: if self.lost {
-                Some(SlotError::Fault(OpFault::MachineOffline))
-            } else {
-                None
-            },
         }
     }
 }
@@ -386,6 +365,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::OpFault;
     use crate::supervisor::SlotReport;
 
     fn fp() -> Fingerprint {
@@ -536,10 +516,7 @@ mod tests {
                 (9, Some(Fate::Escaped)),
             ]
         );
-        assert_eq!(
-            ck.items[0].report().faults_by_kind[OpFault::Preempted.index()],
-            2
-        );
+        assert_eq!(ck.items[0].faults[OpFault::Preempted.index()], 2);
         // Same field names, same order, same number formatting.
         CheckpointStore::new(&path, 1).write(&ck).unwrap();
         assert_eq!(

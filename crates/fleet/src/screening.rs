@@ -2,12 +2,15 @@
 //!
 //! Running the full accelerated executor for every (defective CPU ×
 //! 633 testcases × stage) would dominate a million-CPU campaign, so
-//! fleet screening uses a closed form: for each testcase the programs are
-//! *walked* (not executed) to count retire sites per (class, datatype)
-//! and cycles per iteration; steady-state temperatures come from the
-//! thermal model; the per-stage detection probability is then
-//! `1 − Π exp(−λ_tc · D)`. The deep-study analyses use the full executor;
-//! an integration test cross-checks the two paths.
+//! fleet screening uses a closed form: for each testcase the programs of
+//! *one* instance are *walked* (not executed) to count retire sites per
+//! (class, datatype) and cycles per iteration — every instance walks the
+//! same, whatever the core count (see [`StaticProfile::of`]). Each
+//! testcase's steady-state package temperature comes from the thermal
+//! model once per core count and is stored beside the profiles; the
+//! per-stage detection probability is then `1 − Π exp(−λ_tc · D)`. The
+//! deep-study analyses use the full executor; an integration test
+//! cross-checks the two paths.
 
 use crate::lifecycle::StageSpec;
 use sdc_model::DataType;
@@ -23,7 +26,7 @@ use toolchain::{builders, CacheStats, Suite, Testcase};
 /// Static profile of one testcase instantiated on a given core count.
 #[derive(Debug, Clone)]
 pub struct StaticProfile {
-    /// (class, dt) → retire sites per cycle, for the *busiest* instance.
+    /// (class, dt) → retire sites per cycle, for the *busiest* program.
     pub sites_per_cycle: HashMap<(InstClass, DataType), f64>,
     /// Energy per cycle (thermal power proxy).
     pub power: f64,
@@ -36,13 +39,24 @@ pub struct StaticProfile {
     pub multithread: bool,
 }
 
-/// Result of walking one program: (site counts, cycles, energy,
-/// shared writes, transactional commits).
-type WalkSummary = (HashMap<(InstClass, DataType), f64>, f64, f64, f64, f64);
+/// What walking one program counts, loop multipliers applied.
+#[derive(Debug)]
+pub struct ProgramWalk {
+    /// (class, dt) → retire sites per iteration.
+    pub sites: HashMap<(InstClass, DataType), f64>,
+    /// Cycles per iteration (at least 1).
+    pub cycles: f64,
+    /// Energy per iteration.
+    pub energy: f64,
+    /// Shared-memory writes (stores, CAS, lock traffic) per iteration.
+    pub shared_writes: f64,
+    /// Transactional commits per iteration.
+    pub commits: f64,
+}
 
 /// Walks a program, accumulating per-(class, dt) site counts, cycles,
 /// energy, and shared-memory traffic with loop multipliers.
-fn walk(program: &Program) -> WalkSummary {
+pub fn walk(program: &Program) -> ProgramWalk {
     let mut sites: HashMap<(InstClass, DataType), f64> = HashMap::new();
     let mut cycles = 0f64;
     let mut energy = 0f64;
@@ -104,26 +118,58 @@ fn walk(program: &Program) -> WalkSummary {
             _ => {}
         }
     }
-    (sites, cycles.max(1.0), energy, shared_writes, commits)
+    ProgramWalk {
+        sites,
+        cycles: cycles.max(1.0),
+        energy,
+        shared_writes,
+        commits,
+    }
 }
 
 impl StaticProfile {
     /// Profiles `tc` as instantiated on `machine_cores` cores.
+    ///
+    /// Walks one instance only: core 0's program, or group 0's threads
+    /// for a multi-threaded testcase, keeping the busiest. Every other
+    /// instance walks the same, so the result does not depend on
+    /// `machine_cores` — instance `k` draws from its own fork of the
+    /// testcase's stream, and the builders draw only immediates and
+    /// memory contents from it, never program structure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `machine_cores` is smaller than the testcase's thread
+    /// count.
     pub fn of(tc: &Testcase, machine_cores: usize) -> StaticProfile {
-        let built = builders::build(tc, machine_cores, 8, 0x57a71c);
-        let mut best: Option<WalkSummary> = None;
-        for program in built.programs.iter().flatten() {
+        let threads = tc.threads as usize;
+        assert!(
+            machine_cores >= threads,
+            "machine has fewer cores than testcase threads"
+        );
+        let instance = builders::build(tc, threads, 8, 0x57a71c);
+        let mut busiest: Option<ProgramWalk> = None;
+        for program in instance.programs.iter().flatten() {
             let w = walk(program);
-            let better = match &best {
-                None => true,
-                Some(b) => w.1 > b.1,
-            };
-            if better {
-                best = Some(w);
+            if busiest.as_ref().is_none_or(|b| w.cycles > b.cycles) {
+                busiest = Some(w);
             }
         }
-        let (sites, cycles, energy, shared_writes, commits) =
-            best.expect("invariant violated: every testcase builds at least one program");
+        StaticProfile::from_walk(
+            tc,
+            busiest.expect("invariant violated: every testcase builds at least one program"),
+        )
+    }
+
+    /// The profile of `tc` whose busiest program walked as `walk`.
+    pub fn from_walk(tc: &Testcase, walk: ProgramWalk) -> StaticProfile {
+        let ProgramWalk {
+            sites,
+            cycles,
+            energy,
+            shared_writes,
+            commits,
+        } = walk;
         let multithread = tc.threads > 1;
         StaticProfile {
             sites_per_cycle: sites.into_iter().map(|(k, v)| (k, v / cycles)).collect(),
@@ -146,10 +192,12 @@ impl StaticProfile {
 }
 
 /// Static profiles of a whole suite on one core count, computed once and
-/// shared across every processor of that shape.
+/// shared across every processor of that shape, with each testcase's
+/// all-cores steady-state temperature on that shape.
 #[derive(Debug)]
 pub struct StaticSuiteProfile {
     profiles: Vec<StaticProfile>,
+    steady_temps_c: Vec<f64>,
     cores: usize,
 }
 
@@ -167,10 +215,22 @@ impl StaticSuiteProfile {
         machine_cores: usize,
         threads: usize,
     ) -> StaticSuiteProfile {
+        let profiles = crate::parallel::run_indexed(suite.testcases(), threads, |_, tc| {
+            StaticProfile::of(tc, machine_cores)
+        });
+        // Steady state: every core of the package at the workload's power.
+        let probe = ThermalModel::new(machine_cores, ThermalConfig::default());
+        let steady_temps_c = profiles
+            .iter()
+            .map(|profile| {
+                let mut t = probe.clone();
+                t.set_all_powers(profile.power);
+                t.target_temp(0)
+            })
+            .collect();
         StaticSuiteProfile {
-            profiles: crate::parallel::run_indexed(suite.testcases(), threads, |_, tc| {
-                StaticProfile::of(tc, machine_cores)
-            }),
+            profiles,
+            steady_temps_c,
             cores: machine_cores,
         }
     }
@@ -178,6 +238,12 @@ impl StaticSuiteProfile {
     /// The profile of testcase `idx` (suite ids are dense).
     pub fn get(&self, idx: usize) -> &StaticProfile {
         &self.profiles[idx]
+    }
+
+    /// The steady-state temperature (°C) of a package of [`Self::cores`]
+    /// cores running testcase `idx` on every core.
+    pub fn steady_temp_c(&self, idx: usize) -> f64 {
+        self.steady_temps_c[idx]
     }
 
     /// Core count these profiles were built for.
@@ -270,6 +336,10 @@ impl SuiteProfileCache {
 /// Temperatures are the steady-state targets of a package running the
 /// testcase on every core (the framework tests all cores simultaneously)
 /// plus the stage's temperature offset.
+///
+/// # Panics
+///
+/// Panics unless `profiles` were built for the processor's core count.
 pub fn stage_detection_probability(
     processor: &Processor,
     suite: &Suite,
@@ -277,30 +347,27 @@ pub fn stage_detection_probability(
     stage: &StageSpec,
     clock_hz: f64,
 ) -> f64 {
-    let n_cores = processor.physical_cores as usize;
-    let thermal_probe = ThermalModel::new(n_cores, ThermalConfig::default());
+    assert_eq!(
+        processor.physical_cores as usize,
+        profiles.cores(),
+        "suite profiles built for another core count"
+    );
+    let secs = stage.per_testcase.as_secs_f64();
     let mut log_survive = 0f64;
     for (idx, tc) in suite.testcases().iter().enumerate() {
         if idx % stage.suite_stride.max(1) != 0 {
             continue;
         }
         let profile = profiles.get(idx);
-        // Steady-state temperature: every core at the workload's power.
-        let mut t = thermal_probe.clone();
-        t.set_all_powers(profile.power);
-        let temp = t.target_temp(0) + stage.temp_offset_c;
-        let secs = stage.per_testcase.as_secs_f64();
+        let temp = profiles.steady_temp_c(idx) + stage.temp_offset_c;
         for defect in &processor.defects {
             if !defect.applies_to(tc.id) {
                 continue;
             }
-            // Aggregate rate over all cores of the package.
+            // Aggregate rate over all cores of the package; a
+            // single-threaded testcase triggers computation defects only.
             let mut lambda = 0f64;
-            for core in 0..processor.physical_cores {
-                let rate = defect.rate(core, temp);
-                if rate <= 0.0 {
-                    continue;
-                }
+            if profile.multithread || defect.kind.is_computation() {
                 let events_per_cycle = match &defect.kind {
                     DefectKind::Computation { .. } => profile
                         .sites_per_cycle
@@ -311,17 +378,19 @@ pub fn stage_detection_probability(
                     DefectKind::CoherenceDrop => profile.invalidations_per_cycle,
                     DefectKind::TxIsolation => profile.tx_conflicts_per_cycle,
                 };
-                if !profile.multithread && !matches!(defect.kind, DefectKind::Computation { .. }) {
-                    continue;
+                for core in 0..processor.physical_cores {
+                    let rate = defect.rate(core, temp);
+                    if rate <= 0.0 {
+                        continue;
+                    }
+                    lambda += events_per_cycle * clock_hz * rate;
                 }
-                lambda += events_per_cycle * clock_hz * rate;
             }
             log_survive += -(lambda * secs);
             if log_survive < -40.0 {
                 return 1.0;
             }
         }
-        let _ = tc;
     }
     1.0 - log_survive.exp()
 }
@@ -340,7 +409,12 @@ mod tests {
         b.loop_start(10);
         b.int_op(IntOpKind::Add, DataType::I32, 1, 0, 0);
         b.loop_end();
-        let (sites, cycles, energy, _, _) = walk(&b.build());
+        let ProgramWalk {
+            sites,
+            cycles,
+            energy,
+            ..
+        } = walk(&b.build());
         assert_eq!(sites[&(InstClass::IntArith, DataType::I32)], 10.0);
         assert!(cycles >= 10.0);
         assert!(energy > 0.0);
@@ -420,6 +494,16 @@ mod tests {
         };
         let p = stage_detection_probability(&healthy, &suite, &profiles, &heavy, 1e7);
         assert_eq!(p, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "another core count")]
+    fn profiles_of_another_core_count_are_rejected() {
+        let suite = Suite::standard();
+        let simd1 = catalog::by_name("SIMD1").unwrap().processor;
+        let profiles = StaticSuiteProfile::build(&suite, simd1.physical_cores as usize + 8);
+        let spec = StageSpec::default_pipeline()[0];
+        stage_detection_probability(&simd1, &suite, &profiles, &spec, 1e7);
     }
 
     #[test]

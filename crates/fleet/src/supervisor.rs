@@ -204,17 +204,35 @@ impl Default for AttritionStats {
 impl AttritionStats {
     /// Folds one slot's accounting in.
     pub fn record(&mut self, completed: bool, report: &SlotReport) {
+        self.record_counts(
+            completed,
+            report.attempts,
+            &report.faults_by_kind,
+            report.backoff_secs,
+        );
+    }
+
+    /// Folds one slot's counters in: its attempts, its faults by
+    /// [`OpFault::index`] and its backoff seconds (what a checkpoint
+    /// persists of a [`SlotReport`]).
+    pub(crate) fn record_counts(
+        &mut self,
+        completed: bool,
+        attempts: u32,
+        faults_by_kind: &[u64],
+        backoff_secs: f64,
+    ) {
         self.items += 1;
         if completed {
             self.completed += 1;
         } else {
             self.lost += 1;
         }
-        self.retries += (report.attempts.saturating_sub(1)) as u64;
-        for (acc, n) in self.faults_by_kind.iter_mut().zip(report.faults_by_kind) {
+        self.retries += (attempts.saturating_sub(1)) as u64;
+        for (acc, n) in self.faults_by_kind.iter_mut().zip(faults_by_kind) {
             *acc += n;
         }
-        self.backoff_secs += report.backoff_secs;
+        self.backoff_secs += backoff_secs;
     }
 
     /// Folds another aggregate in (e.g. per-row stats into a run-wide

@@ -6,7 +6,6 @@
 //! A [`TestPlan`] is that specification; [`run_plan`] drives it through
 //! the executor and produces a [`TestReport`].
 
-use crate::error::ExecError;
 use crate::executor::{ExecConfig, Executor, TestcaseRun};
 use crate::suite::Suite;
 use sdc_model::{CpuId, DetRng, Duration, SdcRecord, TestcaseId};
@@ -117,7 +116,8 @@ pub fn run_plan(
 ///
 /// # Panics
 ///
-/// Panics where [`try_run_plan_cached`] would return an error.
+/// Panics where [`Executor::run`] would: the plan's entries always fit
+/// the processor's cores, so that is an invariant violation.
 pub fn run_plan_cached(
     processor: &Processor,
     suite: &Suite,
@@ -126,35 +126,18 @@ pub fn run_plan_cached(
     rng: &mut DetRng,
     cache: Option<std::sync::Arc<crate::cache::ProfileCache>>,
 ) -> TestReport {
-    try_run_plan_cached(processor, suite, plan, cfg, rng, cache)
-        .unwrap_or_else(|e| panic!("invariant violated: plan run on {:?}: {e}", processor.id))
-}
-
-/// Fallible [`run_plan_cached`]: a transient failure on any entry aborts
-/// the plan with that entry's error, leaving any completed runs behind.
-/// Supervised callers retry the whole plan; since each run draws from the
-/// caller's RNG in plan order, a retried plan starting from a fresh fork
-/// reproduces the uninterrupted results exactly.
-pub fn try_run_plan_cached(
-    processor: &Processor,
-    suite: &Suite,
-    plan: &TestPlan,
-    cfg: ExecConfig,
-    rng: &mut DetRng,
-    cache: Option<std::sync::Arc<crate::cache::ProfileCache>>,
-) -> Result<TestReport, ExecError> {
     let cores: Vec<u16> = (0..processor.physical_cores).collect();
     let mut executor = Executor::new(processor, cfg);
     executor.set_cache(cache);
-    let mut runs = Vec::with_capacity(plan.entries.len());
-    for entry in &plan.entries {
-        let tc = suite.get(entry.testcase);
-        runs.push(executor.try_run(tc, &cores, entry.duration, rng)?);
-    }
-    Ok(TestReport {
+    let runs = plan
+        .entries
+        .iter()
+        .map(|entry| executor.run(suite.get(entry.testcase), &cores, entry.duration, rng))
+        .collect();
+    TestReport {
         cpu: processor.id,
         runs,
-    })
+    }
 }
 
 #[cfg(test)]
