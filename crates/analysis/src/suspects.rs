@@ -150,7 +150,10 @@ mod tests {
             "top suspects {:?} should include an arctangent class",
             suspects.iter().take(3).map(|s| s.class).collect::<Vec<_>>()
         );
-        assert!(localizes(&suspects, LOCALIZE_MIN_SCORE), "FPU1 localizes cleanly");
+        assert!(
+            localizes(&suspects, LOCALIZE_MIN_SCORE),
+            "FPU1 localizes cleanly"
+        );
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! costs are identical on both paths (`ProfileKey` does not include
 //! `reference_executor`; see `tests/executor_equivalence.rs`).
 
-use analysis::study::{run_case_cached, run_deep_study, run_deep_study_with, StudyConfig, StudyData};
+use analysis::study::{
+    run_case_cached, run_deep_study, run_deep_study_with, StudyConfig, StudyData,
+};
 use fleet::screening::{StaticSuiteProfile, SuiteProfileCache};
 use fleet::{run_campaign_on, FleetConfig, FleetPopulation};
 use sdc_model::{DataType, Duration};
@@ -84,7 +86,10 @@ fn analyze(study: &StudyData) -> f64 {
     }
     let mined = corpus.records.mine_patterns();
     acc += mined.iter().map(|s| s.pattern_share).sum::<f64>();
-    acc += corpus.records.flip_multiplicity_with(&mined, DataType::F64).one;
+    acc += corpus
+        .records
+        .flip_multiplicity_with(&mined, DataType::F64)
+        .one;
     acc += analysis::reproducibility::summarize(study).share_above_one_per_min;
     acc += analysis::observations::obs5_types(study).computation as f64;
     acc
@@ -106,19 +111,40 @@ fn single_case_speedup(per_testcase: Duration) -> f64 {
         ..execute_cfg(reference, 1)
     };
     // Warm the unit-profile cache so every timed run hits it.
-    run_case_cached(&case, &suite, &profiles, &cfg(false), Some(Arc::clone(&cache)));
+    run_case_cached(
+        &case,
+        &suite,
+        &profiles,
+        &cfg(false),
+        Some(Arc::clone(&cache)),
+    );
     let (mut fast_secs, mut ref_secs) = (f64::INFINITY, f64::INFINITY);
     let mut first = None;
     for _ in 0..7 {
         let (fast, secs) = timed(|| {
-            run_case_cached(&case, &suite, &profiles, &cfg(false), Some(Arc::clone(&cache)))
+            run_case_cached(
+                &case,
+                &suite,
+                &profiles,
+                &cfg(false),
+                Some(Arc::clone(&cache)),
+            )
         });
         fast_secs = fast_secs.min(secs);
         let (reference, secs) = timed(|| {
-            run_case_cached(&case, &suite, &profiles, &cfg(true), Some(Arc::clone(&cache)))
+            run_case_cached(
+                &case,
+                &suite,
+                &profiles,
+                &cfg(true),
+                Some(Arc::clone(&cache)),
+            )
         });
         ref_secs = ref_secs.min(secs);
-        assert_eq!(fast.records, reference.records, "fast path must be bitwise identical");
+        assert_eq!(
+            fast.records, reference.records,
+            "fast path must be bitwise identical"
+        );
         assert_eq!(fast.freq_per_setting, reference.freq_per_setting);
         let run = first.get_or_insert_with(|| fast.records.clone());
         assert_eq!(*run, fast.records, "repeated runs must be deterministic");
@@ -156,7 +182,11 @@ fn artifact() {
     let suite_cache = SuiteProfileCache::new();
     let unit_cache = ProfileCache::shared();
     let deep = |reference: bool, threads: usize| {
-        run_deep_study_with(&execute_cfg(reference, threads), &suite_cache, Arc::clone(&unit_cache))
+        run_deep_study_with(
+            &execute_cfg(reference, threads),
+            &suite_cache,
+            Arc::clone(&unit_cache),
+        )
     };
     deep(false, 0);
     let (fast_t1, exec_fast_t1) = timed(|| deep(false, 1));
@@ -253,13 +283,35 @@ fn main() {
         per_testcase: Duration::from_mins(5),
         ..execute_cfg(reference, 1)
     };
-    run_case_cached(&case, &suite, &profiles, &short(false), Some(Arc::clone(&cache)));
+    run_case_cached(
+        &case,
+        &suite,
+        &profiles,
+        &short(false),
+        Some(Arc::clone(&cache)),
+    );
     let mut group = c.benchmark_group("campaign_hotpath");
     group.bench_function("execute_fast_fpu1", |b| {
-        b.iter(|| run_case_cached(&case, &suite, &profiles, &short(false), Some(Arc::clone(&cache))))
+        b.iter(|| {
+            run_case_cached(
+                &case,
+                &suite,
+                &profiles,
+                &short(false),
+                Some(Arc::clone(&cache)),
+            )
+        })
     });
     group.bench_function("execute_reference_fpu1", |b| {
-        b.iter(|| run_case_cached(&case, &suite, &profiles, &short(true), Some(Arc::clone(&cache))))
+        b.iter(|| {
+            run_case_cached(
+                &case,
+                &suite,
+                &profiles,
+                &short(true),
+                Some(Arc::clone(&cache)),
+            )
+        })
     });
     let study = run_deep_study(&StudyConfig::default());
     group.bench_function("analyze_corpus", |b| b.iter(|| analyze(&study)));

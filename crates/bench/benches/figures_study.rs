@@ -65,9 +65,7 @@ fn bench_figure_analyses(c: &mut Criterion) {
     group.bench_function("fig4_loss_cdf_f32", |b| {
         b.iter(|| precision::loss_cdf(records.iter(), DataType::F32))
     });
-    group.bench_function("fig6_pattern_mining", |b| {
-        b.iter(|| corpus.mine_patterns())
-    });
+    group.bench_function("fig6_pattern_mining", |b| b.iter(|| corpus.mine_patterns()));
     group.bench_function("fig7_flip_multiplicity", |b| {
         b.iter(|| corpus.flip_multiplicity(DataType::F32))
     });

@@ -325,8 +325,7 @@ fn main() {
                     Path::Golden => machine.run(&mut NoFaults, &mut rng, u64::MAX),
                     Path::Reference => machine.run_reference(&mut NoFaults, &mut rng, u64::MAX),
                     Path::Injected => {
-                        let mut injector =
-                            Injector::new(&proc_, vec![0], 45.0, DetRng::new(0x1f));
+                        let mut injector = Injector::new(&proc_, vec![0], 45.0, DetRng::new(0x1f));
                         injector.set_temps(&[62.0]);
                         machine.run(&mut injector, &mut rng, u64::MAX)
                     }

@@ -187,9 +187,13 @@ pub fn default_tol(name: &str, value: f64) -> f64 {
     } else if name.ends_with("_r") || name.contains("correlation") {
         // Pearson correlations.
         0.12
-    } else if name.ends_with("_count") || name.ends_with("_events") || name.starts_with("obs4.")
-        || name.starts_with("obs5.") || name.starts_with("obs11.")
-        || name.contains("known_errors") || name.contains("escaped")
+    } else if name.ends_with("_count")
+        || name.ends_with("_events")
+        || name.starts_with("obs4.")
+        || name.starts_with("obs5.")
+        || name.starts_with("obs11.")
+        || name.contains("known_errors")
+        || name.contains("escaped")
     {
         // Counts.
         (0.10 * value.abs()).max(2.0)

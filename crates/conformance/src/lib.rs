@@ -29,6 +29,8 @@ pub mod metrics;
 pub mod oracle;
 pub mod reference;
 
-pub use golden::{golden_file, ConformanceReport, GoldenFile, GoldenMetric, GoldenSet, MetricCheck};
+pub use golden::{
+    golden_file, ConformanceReport, GoldenFile, GoldenMetric, GoldenSet, MetricCheck,
+};
 pub use metrics::{collect_metrics, Metric};
 pub use oracle::{Divergence, OracleConfig, SweepOutcome};

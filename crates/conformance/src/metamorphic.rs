@@ -15,8 +15,8 @@
 //!   under every variant and require identical results.
 
 use fleet::chaos::FaultPlan;
-use fleet::screening::StaticSuiteProfile;
 use fleet::checkpoint::{Checkpoint, CheckpointStore};
+use fleet::screening::StaticSuiteProfile;
 use fleet::supervisor::RetryPolicy;
 use fleet::{
     campaign_fingerprint, run_campaign, run_campaign_on, run_campaign_resumable, FleetConfig,
@@ -217,7 +217,10 @@ pub fn defect_mask_monotonicity() -> InvariantReport {
         }
         detail.push_str(&format!("{name}: {counts:?}  "));
     }
-    InvariantReport::of("defect_mask_monotonicity", Ok(detail.trim_end().to_string()))
+    InvariantReport::of(
+        "defect_mask_monotonicity",
+        Ok(detail.trim_end().to_string()),
+    )
 }
 
 /// Thread-count transparency: the same campaign at 1/2/4 worker threads
@@ -258,10 +261,7 @@ pub fn checkpoint_transparency() -> InvariantReport {
     let policy = RetryPolicy::default();
     let plain = run_campaign_on(&cfg, &suite, &pop);
 
-    let path = std::env::temp_dir().join(format!(
-        "conformance-ckpt-{}.json",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("conformance-ckpt-{}.json", std::process::id()));
     let run = || -> Result<String, String> {
         // A snapshot lands on disk only every `every` completions and no
         // final write happens at the interrupt, so `every` must stay <=
@@ -277,18 +277,12 @@ pub fn checkpoint_transparency() -> InvariantReport {
         }
         let snapshot = Checkpoint::load(&path, &campaign_fingerprint(&cfg, &plan))
             .map_err(|e| format!("snapshot load failed: {e:?}"))?;
-        let resumed = match run_campaign_resumable(
-            &cfg,
-            &suite,
-            &pop,
-            &plan,
-            &policy,
-            None,
-            Some(&snapshot),
-        ) {
-            Ok(ResumableRun::Completed(run)) => run,
-            other => return Err(format!("resume did not complete: {other:?}")),
-        };
+        let resumed =
+            match run_campaign_resumable(&cfg, &suite, &pop, &plan, &policy, None, Some(&snapshot))
+            {
+                Ok(ResumableRun::Completed(run)) => run,
+                other => return Err(format!("resume did not complete: {other:?}")),
+            };
         if resumed.outcome.table1() != plain.table1()
             || resumed.outcome.table2() != plain.table2()
             || resumed.outcome.escaped() != plain.escaped()
@@ -359,7 +353,9 @@ pub fn chaos_transparency() -> InvariantReport {
         if q.testcase != s.testcase || q.error_count != s.error_count || q.records != s.records {
             return InvariantReport::of(
                 "chaos_transparency",
-                Err(format!("window {idx} differs between quiet and stormy rounds")),
+                Err(format!(
+                    "window {idx} differs between quiet and stormy rounds"
+                )),
             );
         }
     }
@@ -398,6 +394,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "diverging")]
     fn assert_transparent_panics_on_divergence() {
-        assert_transparent("diverging", &["x", "y"], |v| v.len() + v.starts_with('y') as usize);
+        assert_transparent("diverging", &["x", "y"], |v| {
+            v.len() + v.starts_with('y') as usize
+        });
     }
 }

@@ -155,13 +155,18 @@ pub fn study_metrics(study: &StudyData, suite: &Suite) -> Vec<Metric> {
         corpus.records.fraction_part_share(DataType::F64),
     ));
     let hist = corpus.records.bit_histogram(DataType::F64);
-    v.push(metric("bitflips.f64_msb4_share", bitflips::msb_share(&hist, 4)));
+    v.push(metric(
+        "bitflips.f64_msb4_share",
+        bitflips::msb_share(&hist, 4),
+    ));
 
     let settings = corpus.records.mine_patterns();
     let big: Vec<_> = settings.iter().filter(|s| s.n_records >= 20).collect();
     let mean_share = big.iter().map(|s| s.pattern_share).sum::<f64>() / big.len().max(1) as f64;
     v.push(metric("patterns.mean_share_20plus", mean_share));
-    let mult = corpus.records.flip_multiplicity_with(&settings, DataType::F64);
+    let mult = corpus
+        .records
+        .flip_multiplicity_with(&settings, DataType::F64);
     v.push(metric("patterns.f64_single_flip_share", mult.one));
 
     v.push(metric(
@@ -182,7 +187,11 @@ pub fn study_metrics(study: &StudyData, suite: &Suite) -> Vec<Metric> {
     v.push(metric("obs5.consistency_count", types.consistency as f64));
     v.push(metric(
         "obs5.single_type_invariant",
-        if types.single_type_invariant { 1.0 } else { 0.0 },
+        if types.single_type_invariant {
+            1.0
+        } else {
+            0.0
+        },
     ));
     let eff = observations::obs11_effectiveness(study, suite);
     v.push(metric("obs11.ineffective_count", eff.ineffective as f64));

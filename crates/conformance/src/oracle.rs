@@ -505,7 +505,11 @@ impl std::fmt::Display for Divergence {
 
 /// Executes `case` on the softcore (through `hook`) and on the
 /// reference, returning the first divergence found.
-pub fn run_case(case: &StreamCase, cfg: &OracleConfig, hook: &mut dyn FaultHook) -> Option<Divergence> {
+pub fn run_case(
+    case: &StreamCase,
+    cfg: &OracleConfig,
+    hook: &mut dyn FaultHook,
+) -> Option<Divergence> {
     let max_steps = case.program.estimated_steps() * 3 + 4096;
 
     let mut machine = Machine::new(1, cfg.mem_bytes);
@@ -542,7 +546,10 @@ pub fn run_case(case: &StreamCase, cfg: &OracleConfig, hook: &mut dyn FaultHook)
         }
     }
     for r in 0..32u8 {
-        let (m, rf) = (regs.float(r).to_bits(), reference.float[r as usize].to_bits());
+        let (m, rf) = (
+            regs.float(r).to_bits(),
+            reference.float[r as usize].to_bits(),
+        );
         if m != rf {
             return Some(Divergence {
                 field: "float".into(),
@@ -691,10 +698,7 @@ pub fn minimize(
                 improved = true;
                 continue; // same index now holds the next op
             }
-            if matches!(
-                ops[i],
-                GenOp::Loop(..) | GenOp::Locked(..) | GenOp::Tx(..)
-            ) {
+            if matches!(ops[i], GenOp::Loop(..) | GenOp::Locked(..) | GenOp::Tx(..)) {
                 let unwrapped = reduced(&ops, i, true);
                 if let Some(d) = diverges(&unwrapped) {
                     ops = unwrapped;
@@ -782,7 +786,11 @@ mod tests {
                 }
             }
         }
-        assert_eq!(saw, (true, true, true, true), "loop/lock/tx/mem all generated");
+        assert_eq!(
+            saw,
+            (true, true, true, true),
+            "loop/lock/tx/mem all generated"
+        );
     }
 
     #[test]
@@ -793,8 +801,7 @@ mod tests {
         let mut proven = false;
         'outer: for seed in 0..20u64 {
             for nth in [5u64, 20, 60] {
-                let factory =
-                    move || Box::new(FlipRetire::new(nth, 3)) as Box<dyn FaultHook>;
+                let factory = move || Box::new(FlipRetire::new(nth, 3)) as Box<dyn FaultHook>;
                 let case = gen_case(seed, &cfg);
                 if run_case(&case, &cfg, &mut *factory()).is_none() {
                     continue;
@@ -815,6 +822,9 @@ mod tests {
                 break 'outer;
             }
         }
-        assert!(proven, "no (seed, retire) combination produced a divergence");
+        assert!(
+            proven,
+            "no (seed, retire) combination produced a divergence"
+        );
     }
 }

@@ -41,11 +41,20 @@ fn perturbed_trigger_floor_trips_the_gate() {
     let suite = Suite::standard();
     let mut perturbed = silicon::catalog::by_name("MIX1").unwrap().processor;
     perturbed.defects[1].trigger.t_min_c = 73.0;
-    let report = check(&temperature_golden(), &temperature_metrics(&suite, &perturbed, true));
-    assert!(!report.passed(), "perturbation went undetected:\n{}", report.render());
+    let report = check(
+        &temperature_golden(),
+        &temperature_metrics(&suite, &perturbed, true),
+    );
+    assert!(
+        !report.passed(),
+        "perturbation went undetected:\n{}",
+        report.render()
+    );
     let failures = report.failures();
     assert!(
-        failures.iter().any(|f| f.name == "temperature.mix1_t_min_c"),
+        failures
+            .iter()
+            .any(|f| f.name == "temperature.mix1_t_min_c"),
         "wrong metric tripped: {failures:?}"
     );
 }
@@ -60,6 +69,13 @@ fn perturbed_trigger_rate_trips_the_fit() {
     let suite = Suite::standard();
     let mut perturbed = silicon::catalog::by_name("MIX1").unwrap().processor;
     perturbed.defects[1].trigger.base_rate *= 20.0;
-    let report = check(&temperature_golden(), &temperature_metrics(&suite, &perturbed, true));
-    assert!(!report.passed(), "perturbation went undetected:\n{}", report.render());
+    let report = check(
+        &temperature_golden(),
+        &temperature_metrics(&suite, &perturbed, true),
+    );
+    assert!(
+        !report.passed(),
+        "perturbation went undetected:\n{}",
+        report.render()
+    );
 }

@@ -445,7 +445,10 @@ mod tests {
         };
         let suite = Suite::standard();
         let run = supervised(&cfg, &suite, &plan);
-        assert_eq!(run.attrition.items, run.outcome.fates.len() as u64 + run.lost.len() as u64);
+        assert_eq!(
+            run.attrition.items,
+            run.outcome.fates.len() as u64 + run.lost.len() as u64
+        );
         assert!(run.attrition.total_faults() > 0, "a storm must leave marks");
         assert!(run.attrition.retries > 0);
         assert!(run.attrition.backoff_secs > 0.0);

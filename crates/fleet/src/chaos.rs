@@ -397,7 +397,10 @@ mod tests {
                 break;
             }
         }
-        assert!(saw_persistence, "no multi-attempt offline epoch in 2000 slots");
+        assert!(
+            saw_persistence,
+            "no multi-attempt offline epoch in 2000 slots"
+        );
     }
 
     #[test]

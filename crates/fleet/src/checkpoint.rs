@@ -155,14 +155,21 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
             CheckpointError::Corrupt(e) => write!(f, "corrupt checkpoint: {e}"),
             CheckpointError::Version { found, expected } => {
-                write!(f, "checkpoint format v{found}, this build reads v{expected}")
+                write!(
+                    f,
+                    "checkpoint format v{found}, this build reads v{expected}"
+                )
             }
             CheckpointError::Mismatch { found, expected } => write!(
                 f,
                 "checkpoint is for campaign (seed={}, cpus={}, plan={}), \
                  not (seed={}, cpus={}, plan={})",
-                found.seed, found.total_cpus, found.plan,
-                expected.seed, expected.total_cpus, expected.plan
+                found.seed,
+                found.total_cpus,
+                found.plan,
+                expected.seed,
+                expected.total_cpus,
+                expected.plan
             ),
         }
     }
@@ -405,7 +412,8 @@ mod tests {
         let store = CheckpointStore::new(dir.join("ck.json"), 10);
         let mut ck = Checkpoint::<ItemRecord>::empty(fp());
         ck.items.push(record(0, Some(Fate::Escaped)));
-        ck.items.push(record(3, Some(Fate::Caught(Stage::Factory, 0))));
+        ck.items
+            .push(record(3, Some(Fate::Caught(Stage::Factory, 0))));
         ck.items.push(record(1, None));
         store.write(&ck).unwrap();
         let back = Checkpoint::<ItemRecord>::load(store.path(), &fp()).unwrap();

@@ -335,7 +335,10 @@ mod tests {
         b.mov_imm(0, 2);
         let prog = b.build();
         let d = DecodedProgram::decode(&prog);
-        assert_eq!(d.op(0).expect("pc 0").skip_to as usize, prog.loop_end_of(0) + 1);
+        assert_eq!(
+            d.op(0).expect("pc 0").skip_to as usize,
+            prog.loop_end_of(0) + 1
+        );
     }
 
     #[test]

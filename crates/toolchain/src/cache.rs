@@ -262,7 +262,9 @@ mod tests {
         cache.get_or_compute(key(2), || dummy_profile(2.0));
         let mut cfg = ExecConfig::default();
         cfg.unit_iters += 1;
-        cache.get_or_compute(ProfileKey::of(TestcaseId(1), 4, &cfg), || dummy_profile(3.0));
+        cache.get_or_compute(ProfileKey::of(TestcaseId(1), 4, &cfg), || {
+            dummy_profile(3.0)
+        });
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3));
     }

@@ -50,7 +50,12 @@ impl Bencher {
     }
 }
 
-fn run_one(name: &str, sample_size: usize, throughput: Option<Throughput>, f: &mut dyn FnMut(&mut Bencher)) {
+fn run_one(
+    name: &str,
+    sample_size: usize,
+    throughput: Option<Throughput>,
+    f: &mut dyn FnMut(&mut Bencher),
+) {
     let mut b = Bencher {
         samples: Vec::new(),
         target_samples: sample_size.max(1),

@@ -45,7 +45,10 @@ pub mod json {
     impl Error {
         /// Creates an error without position information.
         pub fn new(msg: impl Into<String>) -> Self {
-            Error { msg: msg.into(), at: 0 }
+            Error {
+                msg: msg.into(),
+                at: 0,
+            }
         }
     }
 
@@ -66,12 +69,18 @@ pub mod json {
     impl<'a> Parser<'a> {
         /// Starts parsing at the beginning of `input`.
         pub fn new(input: &'a str) -> Self {
-            Parser { bytes: input.as_bytes(), pos: 0 }
+            Parser {
+                bytes: input.as_bytes(),
+                pos: 0,
+            }
         }
 
         /// Builds an error at the current position.
         pub fn err(&self, msg: impl Into<String>) -> Error {
-            Error { msg: msg.into(), at: self.pos }
+            Error {
+                msg: msg.into(),
+                at: self.pos,
+            }
         }
 
         fn skip_ws(&mut self) {
@@ -206,19 +215,22 @@ pub mod json {
         /// Parses an unsigned integer.
         pub fn parse_u128(&mut self) -> Result<u128, Error> {
             let tok = self.number_token()?;
-            tok.parse().map_err(|_| self.err(format!("bad integer '{tok}'")))
+            tok.parse()
+                .map_err(|_| self.err(format!("bad integer '{tok}'")))
         }
 
         /// Parses a signed integer.
         pub fn parse_i128(&mut self) -> Result<i128, Error> {
             let tok = self.number_token()?;
-            tok.parse().map_err(|_| self.err(format!("bad integer '{tok}'")))
+            tok.parse()
+                .map_err(|_| self.err(format!("bad integer '{tok}'")))
         }
 
         /// Parses a floating point number.
         pub fn parse_f64(&mut self) -> Result<f64, Error> {
             let tok = self.number_token()?;
-            tok.parse().map_err(|_| self.err(format!("bad float '{tok}'")))
+            tok.parse()
+                .map_err(|_| self.err(format!("bad float '{tok}'")))
         }
 
         /// Parses `true` / `false`.

@@ -979,7 +979,10 @@ mod tests {
         ]);
         assert!(opts.quick);
         assert_eq!(opts.threads, 4);
-        assert_eq!(opts.artifacts, vec!["table1".to_string(), "fig8".to_string()]);
+        assert_eq!(
+            opts.artifacts,
+            vec!["table1".to_string(), "fig8".to_string()]
+        );
         let plan = opts.chaos.expect("chaos plan");
         assert_eq!(plan.offline, 0.05);
         assert_eq!(plan.preempt, 0.1);

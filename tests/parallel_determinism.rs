@@ -74,7 +74,11 @@ fn deep_study_parallel_matches_serial() {
         assert_eq!(s.name, p.name);
         assert_eq!(s.tested, p.tested, "{}", s.name);
         assert_eq!(s.failing, p.failing, "{}", s.name);
-        assert_eq!(s.records, p.records, "{}: records are bit-identical", s.name);
+        assert_eq!(
+            s.records, p.records,
+            "{}: records are bit-identical",
+            s.name
+        );
         assert_eq!(s.freq_per_setting, p.freq_per_setting, "{}", s.name);
     }
 }
