@@ -66,11 +66,6 @@ impl PriorityBook {
         }
     }
 
-    /// Number of fleet-active testcases.
-    pub fn active_count(&self) -> usize {
-        self.fleet_active.len()
-    }
-
     /// Suspected testcases for `cpu`.
     pub fn suspected_of(&self, cpu: u64) -> Vec<TestcaseId> {
         let mut v: Vec<TestcaseId> = self

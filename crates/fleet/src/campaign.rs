@@ -135,10 +135,11 @@ impl CampaignOutcome {
 
 /// Runs the four-stage campaign over a sampled fleet.
 ///
-/// Static suite profiles are computed once per distinct core count; each
-/// defective processor then walks the lifecycle, getting caught at a
-/// stage with the screening probability (regular testing is applied once
-/// per three-month round of the processor's age).
+/// The suite is walked once, and each distinct core count adds its steady
+/// temperatures once ([`SuiteProfileCache`]); each defective processor
+/// then walks the lifecycle, getting caught at a stage with the screening
+/// probability (regular testing is applied once per three-month round of
+/// the processor's age).
 ///
 /// Defective processors are sharded across `cfg.threads` workers
 /// ([`crate::parallel::run_indexed`]); each processor's randomness is a

@@ -4,13 +4,22 @@
 //! 633 testcases × stage) would dominate a million-CPU campaign, so
 //! fleet screening uses a closed form: for each testcase the programs of
 //! *one* instance are *walked* (not executed) to count retire sites per
-//! (class, datatype) and cycles per iteration — every instance walks the
-//! same, whatever the core count (see [`StaticProfile::of`]). Each
-//! testcase's steady-state package temperature comes from the thermal
-//! model once per core count and is stored beside the profiles; the
-//! per-stage detection probability is then `1 − Π exp(−λ_tc · D)`. The
-//! deep-study analyses use the full executor; an integration test
-//! cross-checks the two paths.
+//! (class, datatype) and cycles per iteration. The walk does not depend
+//! on the core count (see [`StaticProfile::of`]), so a
+//! [`SuiteProfileCache`] walks the suite once and shares the walks across
+//! every package shape. Only each testcase's steady-state package
+//! temperature depends on the core count: it comes from the thermal
+//! model once per core count and is stored beside the shared walks. The
+//! per-stage detection probability is then `1 − Π exp(−λ_tc · D)`.
+//!
+//! The deep-study analyses use the full executor instead, and no test
+//! compares the closed form with it. The closed form is tested for being
+//! a probability, for monotonicity in duration and for the order of a
+//! few catalog CPUs (`tests/prop.rs` and the unit tests below); the
+//! one-instance walk, the cached profiles and the stored temperatures
+//! are checked bit for bit against the all-instances walk, a fresh
+//! [`StaticSuiteProfile::build`] and the thermal model
+//! (`tests/screening_one_instance.rs`).
 
 use crate::lifecycle::StageSpec;
 use sdc_model::DataType;
@@ -135,7 +144,9 @@ impl StaticProfile {
     /// instance walks the same, so the result does not depend on
     /// `machine_cores` — instance `k` draws from its own fork of the
     /// testcase's stream, and the builders draw only immediates and
-    /// memory contents from it, never program structure.
+    /// memory contents from it, never program structure. That is why a
+    /// [`SuiteProfileCache`] walks each testcase once for every core
+    /// count it serves.
     ///
     /// # Panics
     ///
@@ -191,36 +202,56 @@ impl StaticProfile {
     }
 }
 
-/// Static profiles of a whole suite on one core count, computed once and
-/// shared across every processor of that shape, with each testcase's
-/// all-cores steady-state temperature on that shape.
+/// Static profiles of a whole suite on one core count, shared across
+/// every processor of that shape: the suite's walks, which every core
+/// count shares, and each testcase's all-cores steady-state temperature
+/// on this shape.
 #[derive(Debug)]
 pub struct StaticSuiteProfile {
-    profiles: Vec<StaticProfile>,
+    profiles: Arc<[StaticProfile]>,
     steady_temps_c: Vec<f64>,
     cores: usize,
 }
 
+/// The walks of every testcase of `suite`, sharded across `threads`
+/// workers (`0` = available parallelism). Walking has no randomness and
+/// no core count, so the result is identical for every thread count and
+/// serves every package shape.
+fn walk_suite(suite: &Suite, threads: usize) -> Arc<[StaticProfile]> {
+    crate::parallel::run_indexed(suite.testcases(), threads, |_, tc| {
+        StaticProfile::of(tc, tc.threads as usize)
+    })
+    .into()
+}
+
 impl StaticSuiteProfile {
     /// Profiles every testcase of `suite` for `machine_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `machine_cores` is smaller than a testcase's thread
+    /// count.
     pub fn build(suite: &Suite, machine_cores: usize) -> StaticSuiteProfile {
-        StaticSuiteProfile::build_threaded(suite, machine_cores, 1)
+        StaticSuiteProfile::on_cores(suite, walk_suite(suite, 1), machine_cores)
     }
 
-    /// [`StaticSuiteProfile::build`] sharded across `threads` workers
-    /// (`0` = available parallelism). Profiling walks programs with no
-    /// randomness, so the result is identical for every thread count.
-    pub fn build_threaded(
+    /// `walks` of `suite`, with each testcase's steady-state temperature
+    /// on `machine_cores` cores.
+    fn on_cores(
         suite: &Suite,
+        walks: Arc<[StaticProfile]>,
         machine_cores: usize,
-        threads: usize,
     ) -> StaticSuiteProfile {
-        let profiles = crate::parallel::run_indexed(suite.testcases(), threads, |_, tc| {
-            StaticProfile::of(tc, machine_cores)
-        });
+        assert!(
+            suite
+                .testcases()
+                .iter()
+                .all(|tc| machine_cores >= tc.threads as usize),
+            "machine has fewer cores than testcase threads"
+        );
         // Steady state: every core of the package at the workload's power.
         let probe = ThermalModel::new(machine_cores, ThermalConfig::default());
-        let steady_temps_c = profiles
+        let steady_temps_c = walks
             .iter()
             .map(|profile| {
                 let mut t = probe.clone();
@@ -229,7 +260,7 @@ impl StaticSuiteProfile {
             })
             .collect();
         StaticSuiteProfile {
-            profiles,
+            profiles: walks,
             steady_temps_c,
             cores: machine_cores,
         }
@@ -256,13 +287,16 @@ impl StaticSuiteProfile {
 /// count.
 ///
 /// A campaign's workers all need the suite profile for each package
-/// shape; this cache builds each one once — same lock discipline as
-/// `toolchain`'s unit-profile cache (mutex for bookkeeping only, the
-/// expensive build runs outside the lock in a per-key `OnceLock`).
+/// shape. This cache walks the suite once, and each core count adds only
+/// its steady temperatures, once — same lock discipline as `toolchain`'s
+/// unit-profile cache (mutex for bookkeeping only, the builds run
+/// outside the lock in `OnceLock`s). Entries are keyed by core count
+/// alone, so one cache serves one suite.
 #[derive(Default)]
 pub struct SuiteProfileCache {
     hits: AtomicU64,
     misses: AtomicU64,
+    walks: OnceLock<Arc<[StaticProfile]>>,
     inner: Mutex<HashMap<usize, Arc<OnceLock<Arc<StaticSuiteProfile>>>>>,
 }
 
@@ -280,9 +314,10 @@ impl SuiteProfileCache {
         SuiteProfileCache::default()
     }
 
-    /// The suite profile for `machine_cores`, built on first use with
-    /// `build_threads` workers. Concurrent callers asking for the same
-    /// core count build once; the rest block on the entry.
+    /// The suite profile for `machine_cores`, built on first use. The
+    /// first build walks the suite with `build_threads` workers; later
+    /// core counts reuse that walk. Concurrent callers asking for the
+    /// same core count build once; the rest block on the entry.
     pub fn get_or_build(
         &self,
         suite: &Suite,
@@ -305,10 +340,11 @@ impl SuiteProfileCache {
             }
         };
         slot.get_or_init(|| {
-            Arc::new(StaticSuiteProfile::build_threaded(
+            let walks = self.walks.get_or_init(|| walk_suite(suite, build_threads));
+            Arc::new(StaticSuiteProfile::on_cores(
                 suite,
+                Arc::clone(walks),
                 machine_cores,
-                build_threads,
             ))
         })
         .clone()

@@ -1,8 +1,10 @@
-//! Fleet screening walks one instance per testcase and stores steady
-//! temperatures per core count; both shortcuts must reproduce the
-//! all-instances walk and the per-call thermal model bit for bit.
+//! Fleet screening walks one instance per testcase, shares the walks
+//! across core counts and stores steady temperatures per core count;
+//! each shortcut must reproduce the all-instances walk, a fresh suite
+//! build and the per-call thermal model bit for bit.
 
-use fleet::screening::{walk, ProgramWalk, StaticProfile, StaticSuiteProfile};
+use fleet::screening::{walk, ProgramWalk, StaticProfile, StaticSuiteProfile, SuiteProfileCache};
+use std::sync::{Arc, Barrier};
 use thermal::{ThermalConfig, ThermalModel};
 use toolchain::{builders, Suite, Testcase};
 
@@ -86,6 +88,114 @@ fn stored_steady_temperatures_match_the_thermal_model() {
             );
         }
     }
+}
+
+/// `CORE_COUNTS` plus a package shape outside the catalog.
+fn shapes() -> Vec<usize> {
+    CORE_COUNTS.iter().copied().chain([12]).collect()
+}
+
+fn assert_suite_bit_equal(got: &StaticSuiteProfile, want: &StaticSuiteProfile, n: usize) {
+    assert_eq!(got.cores(), want.cores());
+    let cores = want.cores();
+    for idx in 0..n {
+        let what = format!("testcase {idx} on {cores} cores");
+        assert_bit_equal(got.get(idx), want.get(idx), &what);
+        assert_eq!(
+            got.steady_temp_c(idx).to_bits(),
+            want.steady_temp_c(idx).to_bits(),
+            "{what}: steady temperature"
+        );
+    }
+}
+
+#[test]
+fn cached_profiles_match_fresh_builds_in_any_order() {
+    let suite = Suite::standard();
+    let fresh: Vec<(usize, StaticSuiteProfile)> = shapes()
+        .into_iter()
+        .map(|cores| (cores, StaticSuiteProfile::build(&suite, cores)))
+        .collect();
+
+    let ascending = SuiteProfileCache::new();
+    for (cores, want) in &fresh {
+        assert_suite_bit_equal(
+            &ascending.get_or_build(&suite, *cores, 1),
+            want,
+            suite.len(),
+        );
+    }
+    let descending = SuiteProfileCache::new();
+    for (cores, want) in fresh.iter().rev() {
+        assert_suite_bit_equal(
+            &descending.get_or_build(&suite, *cores, 2),
+            want,
+            suite.len(),
+        );
+    }
+    // Both threads ask for their first core count together, so both
+    // race for the one walk.
+    let concurrent = SuiteProfileCache::new();
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for half in [0, 1] {
+            let (suite, fresh, cache, start) = (&suite, &fresh, &concurrent, &start);
+            scope.spawn(move || {
+                start.wait();
+                let mine = fresh.iter().skip(half).step_by(2);
+                for (cores, want) in mine {
+                    assert_suite_bit_equal(
+                        &cache.get_or_build(suite, *cores, 2),
+                        want,
+                        suite.len(),
+                    );
+                }
+            });
+        }
+    });
+    for cache in [&ascending, &descending, &concurrent] {
+        let stats = cache.stats();
+        assert_eq!(stats.misses, fresh.len() as u64);
+        assert_eq!(stats.entries, fresh.len());
+        assert_eq!(stats.hits, 0);
+    }
+}
+
+#[test]
+fn core_counts_of_one_cache_share_one_walk() {
+    let suite = Suite::standard();
+    let cache = SuiteProfileCache::new();
+    let first = cache.get_or_build(&suite, 16, 1);
+    let again = cache.get_or_build(&suite, 16, 1);
+    assert!(
+        Arc::ptr_eq(&first, &again),
+        "a hit returns the cached entry"
+    );
+    for cores in shapes() {
+        let other = cache.get_or_build(&suite, cores, 1);
+        assert_eq!(other.cores(), cores);
+        for idx in [0, suite.len() - 1] {
+            assert!(
+                std::ptr::eq(first.get(idx), other.get(idx)),
+                "{cores} cores re-walked testcase {idx}"
+            );
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (2, shapes().len() as u64));
+    assert!(!std::ptr::eq(
+        first.get(0),
+        SuiteProfileCache::new().get_or_build(&suite, 16, 1).get(0)
+    ));
+}
+
+#[test]
+#[should_panic(expected = "fewer cores than testcase threads")]
+fn suite_cache_on_too_few_cores_panics() {
+    let suite = Suite::standard();
+    let cache = SuiteProfileCache::new();
+    cache.get_or_build(&suite, 16, 1);
+    cache.get_or_build(&suite, 2, 1);
 }
 
 #[test]

@@ -69,16 +69,6 @@ impl ReedSolomon {
         ReedSolomon { k, m, rows }
     }
 
-    /// Data shard count.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
-    /// Parity shard count.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
     /// Computes the `m` parity shards for `k` equal-length data shards.
     ///
     /// # Panics

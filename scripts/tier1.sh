@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification (see ROADMAP.md): release build, the root test
-# suite, every workspace crate's tests in release, the bench regression
-# gates, the benchmark package (perfbench/) build and tests, clippy and
-# rustdoc.
+# Tier-1 verification (see ROADMAP.md): formatting, release build, the
+# root test suite, every workspace crate's tests in release, the bench
+# regression gates, the benchmark package (perfbench/) build and tests,
+# clippy and rustdoc.
 # CI runs this script as its only tier-1 step. Run from anywhere; exits
 # non-zero on the first failure.
 #
@@ -18,6 +18,10 @@ for arg in "$@"; do
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
 done
+
+# perfbench/ is its own workspace, so `--all` leaves it out.
+echo "== tier-1: formatting (cargo fmt --check) =="
+cargo fmt --all --check
 
 echo "== tier-1: release build =="
 cargo build --release
