@@ -10,9 +10,15 @@
 //! executors makes each unique key execute once, with the profiling RNG
 //! derived purely from the key so cached and uncached runs are bitwise
 //! identical.
+//!
+//! An entry keeps only what the executor reads back: per-core retire
+//! rates, power and event rates, the unit wall time, and the bit samples
+//! of the sites the unit retired. The profiler's per-core count tables
+//! (264 sites × 8 B per core) are condensed into the rates and dropped
+//! when the unit run ends.
 
 use crate::executor::{compute_unit_profile, CoreProfile, ExecConfig};
-use crate::profile::Profiler;
+use crate::profile::SampleTable;
 use crate::testcase::Testcase;
 use sdc_model::{DetRng, TestcaseId};
 use std::collections::HashMap;
@@ -22,13 +28,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Everything [`crate::Executor::run`] needs from the unit profiling run.
 #[derive(Debug)]
 pub struct CachedUnitProfile {
-    /// Per-machine-core profiles (site rates, power, event rates).
+    /// Per-machine-core profiles (site rates, power, event rates),
+    /// condensed from the profiler's per-core counts.
     pub(crate) profiles: Vec<CoreProfile>,
     /// Unit wall time in seconds.
     pub(crate) unit_secs: f64,
-    /// The profiler, whose bit samples feed record materialization
-    /// (read-only after the unit run).
-    pub(crate) profiler: Profiler,
+    /// The unit run's bit samples, which feed record materialization:
+    /// one reservoir per retired site, none for the rest.
+    pub(crate) samples: SampleTable,
 }
 
 impl CachedUnitProfile {
@@ -236,7 +243,7 @@ mod tests {
         CachedUnitProfile {
             profiles: Vec::new(),
             unit_secs: tag,
-            profiler: Profiler::new(DetRng::new(0)),
+            samples: SampleTable::default(),
         }
     }
 
@@ -297,6 +304,74 @@ mod tests {
         let c = key(10).stream().next_u64();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// The cached sample table answers every site exactly as the live
+    /// profiler of the same unit run does, and stores no empty
+    /// reservoir.
+    #[test]
+    fn cached_samples_match_the_live_profiler() {
+        use crate::profile::Profiler;
+        use crate::testcase::{WorkloadKind, WorkloadSpec};
+        use crate::{builders, Suite};
+        use sdc_model::DataType;
+        use softcore::{InstClass, Machine};
+
+        let suite = Suite::standard();
+        let first = |pred: &dyn Fn(&Testcase) -> bool| {
+            suite
+                .testcases()
+                .iter()
+                .find(|tc| pred(tc))
+                .expect("the suite has a testcase of each kind")
+        };
+        let picks = [
+            first(&|tc| tc.kind == WorkloadKind::InstLoop),
+            first(&|tc| tc.kind == WorkloadKind::Library),
+            first(&|tc| tc.kind == WorkloadKind::AppLogic && tc.threads == 1),
+            first(&|tc| matches!(tc.spec, WorkloadSpec::LockCounter { .. })),
+            first(&|tc| matches!(tc.spec, WorkloadSpec::TxCounter { .. })),
+        ];
+        let cfg = ExecConfig::default();
+        let cache = ProfileCache::default();
+        for tc in picks {
+            for cores in [8, 24, 64] {
+                let key = ProfileKey::of(tc.id, cores, &cfg);
+                let mut rng = key.stream();
+                let built = builders::build(tc, cores, cfg.unit_iters, rng.next_u64());
+                let mut machine = Machine::new(cores, built.mem_bytes);
+                for &(addr, val) in &built.mem_init {
+                    machine.mem.raw_write_u64(addr, val);
+                }
+                for (c, p) in built.programs.into_iter().enumerate() {
+                    if let Some(p) = p {
+                        machine.load(c, p);
+                    }
+                }
+                let mut live = Profiler::new(rng.fork(0x9821));
+                let mut interleave = rng.fork(0x77aa);
+                let out = machine.run(&mut live, &mut interleave, cfg.max_unit_steps);
+                assert!(out.completed);
+
+                let unit = cache.profile(tc, cores, &cfg);
+                let mut retired = 0;
+                for class in InstClass::ALL {
+                    for dt in DataType::ALL {
+                        let want = live.samples(class, dt);
+                        assert_eq!(
+                            unit.samples.samples(class, dt),
+                            want,
+                            "{} at {cores} cores, site {class:?}/{dt:?}",
+                            tc.name
+                        );
+                        retired += usize::from(!want.is_empty());
+                    }
+                }
+                assert!(retired > 0, "{} retired nothing", tc.name);
+                assert_eq!(unit.samples.reservoirs().count(), retired);
+                assert!(unit.samples.reservoirs().all(|r| !r.is_empty()));
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::builders;
 use crate::cache::{CachedUnitProfile, ProfileCache, ProfileKey};
 use crate::error::ExecError;
-use crate::profile::Profiler;
+use crate::profile::{Profiler, SampleTable};
 use crate::testcase::{CheckKind, Invariant, OutputRegion, Testcase};
 use rand::RngCore as _;
 use sdc_model::{CoreId, DataType, DetRng, Duration, SdcRecord, SdcType, SettingId, VirtualClock};
@@ -254,7 +254,7 @@ fn step_temps(temps: &mut [f64], targets: &[f64], alpha: f64) -> bool {
 fn materialize_computation(
     sites: &CompSites,
     defect: &Defect,
-    sampler_samples: &Profiler,
+    sampler_samples: &SampleTable,
     setting: SettingId,
     temp: f64,
     at: Duration,
@@ -424,7 +424,7 @@ impl<'p> Executor<'p> {
         self.check_cores(tc, cores)?;
         let unit = self.profile_unit(tc, cores);
         let profiles = &unit.profiles;
-        let sampler_samples = &unit.profiler;
+        let sampler_samples = &unit.samples;
         let processor = self.processor;
 
         if let Some(t) = self.cfg.preheat_c {
@@ -695,7 +695,7 @@ impl<'p> Executor<'p> {
         self.check_cores(tc, cores)?;
         let unit = self.profile_unit(tc, cores);
         let profiles = &unit.profiles;
-        let sampler_samples = &unit.profiler;
+        let sampler_samples = &unit.samples;
 
         if let Some(t) = self.cfg.preheat_c {
             self.thermal.preheat(t);
@@ -1074,7 +1074,9 @@ impl<'p> Executor<'p> {
 }
 
 /// Runs one unit of `tc` in the VM under a profiler and condenses the
-/// result into a [`CachedUnitProfile`]. All randomness comes from
+/// result into a [`CachedUnitProfile`]: the profiler's per-core counts
+/// become per-core site rates, and its bit samples move into a sparse
+/// sample table. All randomness comes from
 /// [`ProfileKey::stream`], making the result a pure function of
 /// `(tc, key, cfg)`.
 pub(crate) fn compute_unit_profile(
@@ -1089,9 +1091,9 @@ pub(crate) fn compute_unit_profile(
         machine.mem.raw_write_u64(addr, val);
     }
     let mut loaded = 0usize;
-    for (c, p) in built.programs.iter().enumerate() {
+    for (c, p) in built.programs.into_iter().enumerate() {
         if let Some(p) = p {
-            machine.load(c, p.clone());
+            machine.load(c, p);
             loaded += 1;
         }
     }
@@ -1131,7 +1133,7 @@ pub(crate) fn compute_unit_profile(
     CachedUnitProfile {
         profiles,
         unit_secs,
-        profiler,
+        samples: profiler.into_samples(),
     }
 }
 

@@ -8,7 +8,9 @@
 //!
 //! Storage is flat per-site arrays indexed by [`InstClass::site_index`]
 //! rather than hash maps — the `corrupt` callback runs once per retired
-//! instruction, so it is on the interpreter's hottest path.
+//! instruction, so it is on the interpreter's hottest path. Once the unit
+//! run ends, the executor condenses the counts into per-core rates and
+//! keeps only the samples, moved into a sparse read-only table.
 
 use sdc_model::{DataType, DetRng};
 use softcore::{FaultHook, InstClass, RetireInfo, NUM_SITES};
@@ -24,6 +26,11 @@ fn site_of(index: usize) -> (InstClass, DataType) {
 }
 
 /// Records retire-site statistics without perturbing execution.
+///
+/// A profiler records during one unit run. Afterwards the executor reads
+/// its per-core counts once, to condense them into retire rates, and
+/// moves its bit samples into the cached unit profile's sample table; the
+/// profiler itself is not kept.
 #[derive(Debug)]
 pub struct Profiler {
     /// Per-core flat site counts, grown on first retire from a core.
@@ -82,6 +89,48 @@ impl Profiler {
             .filter(|&(_, &n)| n > 0)
             .map(|(site, _)| site_of(site))
             .collect()
+    }
+
+    /// Consumes the profiler into its read-only sample table, dropping
+    /// the counts and the reservoir bookkeeping.
+    pub(crate) fn into_samples(self) -> SampleTable {
+        SampleTable {
+            sites: self
+                .samples
+                .into_iter()
+                .enumerate()
+                .filter(|(_, bucket)| !bucket.is_empty())
+                .map(|(site, bucket)| (site as u16, bucket.into_boxed_slice()))
+                .collect(),
+        }
+    }
+}
+
+/// The bit samples of a finished unit run, read-only and sparse: only
+/// the sites that retired a result keep their reservoir, boxed to its
+/// length. A site the unit never retired reads as an empty slice, as on
+/// the live profiler.
+#[derive(Debug, Default)]
+pub(crate) struct SampleTable {
+    /// (flat site index, reservoir), ascending by site.
+    sites: Box<[(u16, Box<[u128]>)]>,
+}
+
+impl SampleTable {
+    /// Sampled result bits for (class, dt); empty for a site the unit
+    /// never retired.
+    pub(crate) fn samples(&self, class: InstClass, dt: DataType) -> &[u128] {
+        let site = class.site_index(dt) as u16;
+        match self.sites.binary_search_by_key(&site, |&(s, _)| s) {
+            Ok(i) => &self.sites[i].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// The stored reservoirs, ascending by site.
+    #[cfg(test)]
+    pub(crate) fn reservoirs(&self) -> impl Iterator<Item = &[u128]> {
+        self.sites.iter().map(|(_, bucket)| &bucket[..])
     }
 }
 
