@@ -6,9 +6,14 @@
 //! significant bits, floats flip overwhelmingly in the fraction part, and
 //! non-numerical data flips roughly uniformly (Figure 5). About half of
 //! all flips go 0→1.
-
-use crate::corpus::RecordCorpus;
-use sdc_model::{DataType, SdcRecord};
+//!
+//! The histograms and direction shares are computed on a record corpus:
+//! [`RecordCorpus::bit_histogram`], [`RecordCorpus::zero_to_one_share`]
+//! and [`RecordCorpus::fraction_part_share`].
+//!
+//! [`RecordCorpus::bit_histogram`]: crate::corpus::RecordCorpus::bit_histogram
+//! [`RecordCorpus::zero_to_one_share`]: crate::corpus::RecordCorpus::zero_to_one_share
+//! [`RecordCorpus::fraction_part_share`]: crate::corpus::RecordCorpus::fraction_part_share
 
 /// One histogram bin of Figure 4/5.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,29 +24,6 @@ pub struct BitBin {
     pub zero_to_one: f64,
     /// Fraction of flips at this index going 1→0.
     pub one_to_zero: f64,
-}
-
-/// Per-bit flip histogram for computation records of `dt` — adapter
-/// over [`RecordCorpus::bit_histogram`]. Study-scale callers build one
-/// corpus and run every histogram on its columns.
-pub fn bit_histogram(records: &[SdcRecord], dt: DataType) -> Vec<BitBin> {
-    RecordCorpus::from_records(records).bit_histogram(dt)
-}
-
-/// Aggregate flip-direction split: fraction of all flips going 0→1
-/// (the paper reports 51.08%).
-pub fn zero_to_one_share(records: &[SdcRecord]) -> f64 {
-    RecordCorpus::from_records(records).zero_to_one_share()
-}
-
-/// Fraction of flips of float datatype `dt` that land in the fraction
-/// part (Observation 7's "bitflips predominantly occur in the fraction").
-///
-/// # Panics
-///
-/// Panics if `dt` is not a float format.
-pub fn fraction_part_share(records: &[SdcRecord], dt: DataType) -> f64 {
-    RecordCorpus::from_records(records).fraction_part_share(dt)
 }
 
 /// Fraction of flips landing in the top `k` most significant bits.
@@ -56,7 +38,12 @@ pub fn msb_share(hist: &[BitBin], k: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdc_model::{CoreId, CpuId, Duration, SdcType, SettingId, TestcaseId};
+    use crate::corpus::RecordCorpus;
+    use sdc_model::{CoreId, CpuId, DataType, Duration, SdcRecord, SdcType, SettingId, TestcaseId};
+
+    fn bit_histogram(records: &[SdcRecord], dt: DataType) -> Vec<BitBin> {
+        RecordCorpus::from_records(records).bit_histogram(dt)
+    }
 
     fn rec(dt: DataType, expected: u128, actual: u128) -> SdcRecord {
         SdcRecord {
@@ -104,7 +91,7 @@ mod tests {
             rec(DataType::Byte, 0b00, 0b01), // 0→1
             rec(DataType::Byte, 0b00, 0b10), // 0→1
         ];
-        let share = zero_to_one_share(&records);
+        let share = RecordCorpus::from_records(&records).zero_to_one_share();
         assert!((share - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -113,7 +100,8 @@ mod tests {
         // Flip bit 10 of an f64: well inside the 52-bit fraction.
         let e = 1.5f64.to_bits() as u128;
         let records = vec![rec(DataType::F64, e, e ^ (1 << 10))];
-        assert_eq!(fraction_part_share(&records, DataType::F64), 1.0);
+        let corpus = RecordCorpus::from_records(&records);
+        assert_eq!(corpus.fraction_part_share(DataType::F64), 1.0);
     }
 
     #[test]

@@ -122,7 +122,8 @@ impl RecordCorpus {
         self.kinds[row] == SdcType::Computation
     }
 
-    /// Figures 6–7 pattern mining (see [`crate::patterns::mine_patterns`]).
+    /// Figures 6–7 pattern mining (see [`crate::patterns`]): groups
+    /// computation records per setting and mines mask patterns.
     ///
     /// One entry per setting with at least one computation record, in
     /// ascending setting order; `patterns` masks are ascending (the
@@ -173,7 +174,8 @@ impl RecordCorpus {
         out
     }
 
-    /// Figure 7 for `dt` (see [`crate::patterns::flip_multiplicity`]).
+    /// Figure 7 for `dt` (see [`crate::patterns`]): the distribution of
+    /// flipped-bit counts among records carrying a pattern.
     pub fn flip_multiplicity(&self, dt: DataType) -> FlipMultiplicity {
         self.flip_multiplicity_with(&self.mine_patterns(), dt)
     }
@@ -219,7 +221,7 @@ impl RecordCorpus {
     }
 
     /// Figure 4/5 per-bit flip histogram for computation records of
-    /// `dt` (see [`crate::bitflips::bit_histogram`]).
+    /// `dt` (see [`crate::bitflips`]).
     pub fn bit_histogram(&self, dt: DataType) -> Vec<BitBin> {
         let bits = dt.bits();
         let mut up = vec![0u64; bits as usize];
@@ -254,8 +256,8 @@ impl RecordCorpus {
             .collect()
     }
 
-    /// Fraction of all computation flips going 0→1 (see
-    /// [`crate::bitflips::zero_to_one_share`]).
+    /// Fraction of all computation flips going 0→1 (the paper reports
+    /// 51.08%; see [`crate::bitflips`]).
     pub fn zero_to_one_share(&self) -> f64 {
         let mut up = 0u64;
         let mut total = 0u64;
@@ -270,8 +272,9 @@ impl RecordCorpus {
         up as f64 / total.max(1) as f64
     }
 
-    /// Fraction of `dt` flips landing in the float fraction part (see
-    /// [`crate::bitflips::fraction_part_share`]).
+    /// Fraction of `dt` flips landing in the float fraction part
+    /// (Observation 7's "bitflips predominantly occur in the fraction";
+    /// see [`crate::bitflips`]).
     ///
     /// # Panics
     ///

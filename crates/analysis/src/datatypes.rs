@@ -16,30 +16,11 @@ pub struct DatatypeShare {
     pub proportion: f64,
 }
 
-/// Computes Figure 3 from study data (builds the per-case summaries of
-/// [`StudyData::corpus`] on the fly; use [`figure3_from`] when a
-/// [`StudyCorpus`] is already in hand).
+/// Computes Figure 3 from study data (builds [`StudyData::corpus`] on
+/// the fly; use [`figure3_from`] when a [`StudyCorpus`] is already in
+/// hand).
 pub fn figure3(study: &StudyData) -> Vec<DatatypeShare> {
-    let n = study.cases.len().max(1) as f64;
-    // One pass per case instead of |DataType::ALL| scans of its records.
-    let mut counts = [0usize; DataType::ALL.len()];
-    for case in &study.cases {
-        let mut seen = 0u16;
-        for r in case.computation_records() {
-            seen |= 1u16 << r.datatype as u16;
-        }
-        for (i, &dt) in DataType::ALL.iter().enumerate() {
-            counts[i] += usize::from(seen & (1u16 << dt as u16) != 0);
-        }
-    }
-    DataType::ALL
-        .iter()
-        .zip(counts)
-        .map(|(&datatype, count)| DatatypeShare {
-            datatype,
-            proportion: count as f64 / n,
-        })
-        .collect()
+    figure3_from(&study.corpus())
 }
 
 /// [`figure3`] from an already-built [`StudyCorpus`]: reads the
@@ -169,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn figure3_from_corpus_matches_direct() {
+    fn figure3_from_counts_each_case_once() {
         let study = StudyData {
             cases: vec![
                 case_with(&[DataType::F64, DataType::F64, DataType::I32]),
@@ -177,7 +158,13 @@ mod tests {
                 case_with(&[]),
             ],
         };
-        assert_eq!(figure3(&study), figure3_from(&study.corpus()));
+        let f3 = figure3_from(&study.corpus());
+        let share = |dt: DataType| f3.iter().find(|s| s.datatype == dt).unwrap().proportion;
+        for dt in [DataType::F64, DataType::I32, DataType::Byte] {
+            assert_eq!(share(dt), 1.0 / 3.0, "{dt:?}");
+        }
+        assert_eq!(f3.iter().filter(|s| s.proportion > 0.0).count(), 3);
+        assert_eq!(f3.len(), DataType::ALL.len());
     }
 
     #[test]

@@ -6,9 +6,16 @@
 //! setting's SDC records. Figure 6 reports, per (testcase × processor),
 //! the proportion of records matching some pattern; Figure 7 the number
 //! of flipped bits among pattern records per datatype.
+//!
+//! Both are computed on a record corpus:
+//! [`RecordCorpus::mine_patterns`] groups computation records per
+//! setting and mines mask patterns, and
+//! [`RecordCorpus::flip_multiplicity`] computes Figure 7.
+//!
+//! [`RecordCorpus::mine_patterns`]: crate::corpus::RecordCorpus::mine_patterns
+//! [`RecordCorpus::flip_multiplicity`]: crate::corpus::RecordCorpus::flip_multiplicity
 
-use crate::corpus::RecordCorpus;
-use sdc_model::{DataType, SdcRecord, SettingId};
+use sdc_model::{DataType, SettingId};
 
 /// The paper's pattern threshold (§4.3, Figure 6 / Observation 8): a
 /// mask is a pattern if ≥5% of the setting's records carry it.
@@ -27,15 +34,6 @@ pub struct SettingPatterns {
     pub pattern_share: f64,
 }
 
-/// Groups computation records per setting and mines mask patterns.
-///
-/// Thin adapter over [`RecordCorpus::mine_patterns`] for callers with a
-/// record slice in hand; study-scale callers build one corpus and run
-/// every pass on its columns instead of re-grouping here per call.
-pub fn mine_patterns(records: &[SdcRecord]) -> Vec<SettingPatterns> {
-    RecordCorpus::from_records(records).mine_patterns()
-}
-
 /// Figure 7: distribution of flipped-bit counts (1, 2, >2) among records
 /// whose mask is one of their setting's patterns, for one datatype.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,17 +48,15 @@ pub struct FlipMultiplicity {
     pub more: f64,
 }
 
-/// Computes Figure 7 for `dt` — adapter over
-/// [`RecordCorpus::flip_multiplicity`] (one corpus build, no record
-/// vector clone).
-pub fn flip_multiplicity(records: &[SdcRecord], dt: DataType) -> FlipMultiplicity {
-    RecordCorpus::from_records(records).flip_multiplicity(dt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdc_model::{CoreId, CpuId, Duration, SdcType, TestcaseId};
+    use crate::corpus::RecordCorpus;
+    use sdc_model::{CoreId, CpuId, Duration, SdcRecord, SdcType, TestcaseId};
+
+    fn mine_patterns(records: &[SdcRecord]) -> Vec<SettingPatterns> {
+        RecordCorpus::from_records(records).mine_patterns()
+    }
 
     fn rec(setting_tc: u32, expected: u128, actual: u128) -> SdcRecord {
         SdcRecord {
@@ -133,7 +129,7 @@ mod tests {
         for i in 0..50u128 {
             records.push(rec(1, i, i ^ 0b110)); // 2 bits
         }
-        let m = flip_multiplicity(&records, DataType::I32);
+        let m = RecordCorpus::from_records(&records).flip_multiplicity(DataType::I32);
         assert!((m.one - 0.5).abs() < 1e-12);
         assert!((m.two - 0.5).abs() < 1e-12);
         assert_eq!(m.more, 0.0);

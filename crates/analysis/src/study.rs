@@ -153,10 +153,10 @@ pub fn run_case(
     run_case_cached(case, suite, profiles, cfg, None)
 }
 
-/// [`run_case`] with an optional shared unit-profile cache; the study's
-/// cases overlap heavily in (testcase × core count), so sharing one cache
-/// across cases profiles each shape once. Results are identical with or
-/// without the cache.
+/// [`run_case`] with an optional shared unit-profile cache (`None` means
+/// a fresh one); the study's cases overlap heavily in (testcase × core
+/// count), so sharing one cache across cases profiles each shape once.
+/// Results do not depend on the cache.
 pub fn run_case_cached(
     case: &CaseStudy,
     suite: &Suite,
@@ -165,7 +165,7 @@ pub fn run_case_cached(
     cache: Option<Arc<ProfileCache>>,
 ) -> CaseData {
     let tested = candidates(&case.processor, suite, profiles, cfg);
-    run_candidates(case, suite, tested, cfg, cache)
+    run_candidates(case, suite, tested, cfg, cache.unwrap_or_default())
 }
 
 /// Runs every testcase of `candidates` on `case`'s processor, in order.
@@ -174,12 +174,11 @@ fn run_candidates(
     suite: &Suite,
     candidates: Vec<TestcaseId>,
     cfg: &StudyConfig,
-    cache: Option<Arc<ProfileCache>>,
+    cache: Arc<ProfileCache>,
 ) -> CaseData {
     let processor = &case.processor;
     let cores: Vec<u16> = (0..processor.physical_cores).collect();
-    let mut executor = Executor::new(processor, cfg.exec);
-    executor.set_cache(cache);
+    let mut executor = Executor::with_cache(processor, cfg.exec, cache);
     let mut rng = DetRng::new(cfg.seed).fork(processor.id.0);
 
     let mut failing = Vec::new();
@@ -268,7 +267,7 @@ pub fn run_deep_study_with(
         .collect();
     keys.sort_by_key(|&(cores, _)| Reverse(cores));
     fleet::parallel::run_indexed(&keys, cfg.threads, |_, &(cores, id)| {
-        unit_cache.profile(suite.get(id), cores, &cfg.exec);
+        unit_cache.profile(suite.get(id), cores);
     });
 
     let cases = fleet::parallel::run_indexed(&set, cfg.threads, |i, case| {
@@ -277,7 +276,7 @@ pub fn run_deep_study_with(
             &suite,
             tested[i].clone(),
             cfg,
-            Some(Arc::clone(&unit_cache)),
+            Arc::clone(&unit_cache),
         )
     });
     StudyData { cases }

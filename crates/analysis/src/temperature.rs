@@ -52,6 +52,66 @@ pub fn panel_setting(
     (core, testcase)
 }
 
+/// One Figure 8 panel: the setting a sweep measures and the held
+/// temperatures it measures at. Each reader picks its own window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fig8Panel {
+    /// Catalog name of the processor.
+    pub processor: &'static str,
+    /// Index of the defect driving the panel.
+    pub defect: usize,
+    /// The swept core, or `None` for the defect's hottest core
+    /// ([`panel_setting`]).
+    pub core: Option<u16>,
+    /// Workload-name prefix the panel testcase is chosen from.
+    pub prefix: &'static str,
+    /// Lowest and highest held temperature, ℃ (swept in 2 ℃ steps).
+    pub range_c: (u8, u8),
+}
+
+impl Fig8Panel {
+    /// The held temperatures of the sweep, ascending.
+    pub fn temps(&self) -> Vec<f64> {
+        (self.range_c.0..=self.range_c.1)
+            .step_by(2)
+            .map(f64::from)
+            .collect()
+    }
+}
+
+/// The panels of Figure 8, in print order. `repro fig8` sweeps all
+/// three; the conformance gate and `repro ext`'s cooling comparison read
+/// [`MIX1_PANEL`].
+pub const FIG8_PANELS: [Fig8Panel; 3] = [
+    Fig8Panel {
+        processor: "MIX1",
+        defect: 1,
+        core: None,
+        prefix: "fpu/f64/fam2",
+        range_c: (60, 76),
+    },
+    Fig8Panel {
+        processor: "MIX2",
+        defect: 1,
+        core: None,
+        prefix: "fpu/f64/fam1",
+        range_c: (56, 68),
+    },
+    Fig8Panel {
+        processor: "FPU2",
+        defect: 0,
+        core: Some(8),
+        prefix: "fpu/atan/f64/",
+        range_c: (48, 56),
+    },
+];
+
+/// The MIX1 panel of Figure 8.
+pub const MIX1_PANEL: Fig8Panel = FIG8_PANELS[0];
+
+/// The seed of every Figure 8 sweep.
+pub const FIG8_SEED: u64 = 88;
+
 /// One measured (temperature, frequency) point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
@@ -88,7 +148,7 @@ pub fn temperature_sweep(
     let mut points = Vec::with_capacity(temps.len());
     // The unit profile is temperature-independent (the cache key has no
     // hold field), so every grid point shares one cached profile.
-    let cache = Arc::new(ProfileCache::with_capacity(4));
+    let cache = ProfileCache::shared();
     for (i, &t) in temps.iter().enumerate() {
         let cfg = ExecConfig {
             hold_temp_c: Some(t),
@@ -149,7 +209,7 @@ pub fn min_trigger_temp(
     let tc = suite.get(testcase);
     let cores = sweep_cores(processor, suite, testcase, core);
     // As in `temperature_sweep`: one profile serves the whole scan.
-    let cache = Arc::new(ProfileCache::with_capacity(4));
+    let cache = ProfileCache::shared();
     for (i, &t) in grid.iter().enumerate() {
         let cfg = ExecConfig {
             hold_temp_c: Some(t),

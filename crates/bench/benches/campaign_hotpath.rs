@@ -105,7 +105,7 @@ fn single_case_speedup(per_testcase: Duration) -> f64 {
     let suite = Suite::standard();
     let case = catalog::by_name("FPU1").expect("catalog");
     let profiles = StaticSuiteProfile::build(&suite, case.processor.physical_cores as usize);
-    let cache = Arc::new(ProfileCache::with_capacity(256));
+    let cache = ProfileCache::shared();
     let cfg = |reference: bool| StudyConfig {
         per_testcase,
         ..execute_cfg(reference, 1)
@@ -278,7 +278,7 @@ fn main() {
     let suite = Suite::standard();
     let case = catalog::by_name("FPU1").expect("catalog");
     let profiles = StaticSuiteProfile::build(&suite, case.processor.physical_cores as usize);
-    let cache = Arc::new(ProfileCache::with_capacity(256));
+    let cache = ProfileCache::shared();
     let short = |reference: bool| StudyConfig {
         per_testcase: Duration::from_mins(5),
         ..execute_cfg(reference, 1)

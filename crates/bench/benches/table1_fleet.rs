@@ -35,7 +35,7 @@ fn bench_screening(c: &mut Criterion) {
         .processor;
     let stage = StageSpec::default_pipeline()[2]; // re-install
     c.bench_function("fleet/stage_detection_probability", |b| {
-        b.iter(|| fleet::stage_detection_probability(&cpu, &suite, &profiles, &stage, 1e7))
+        b.iter(|| fleet::stage_detection_probability(&cpu, &suite, &profiles, &stage))
     });
 }
 

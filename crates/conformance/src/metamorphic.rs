@@ -327,7 +327,7 @@ pub fn chaos_transparency() -> InvariantReport {
             &plan,
             ExecConfig::default(),
             &root,
-            None,
+            toolchain::ProfileCache::shared(),
             0xabc,
             chaos,
             &RetryPolicy::default(),

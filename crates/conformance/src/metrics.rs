@@ -203,11 +203,11 @@ pub fn study_metrics(study: &StudyData, suite: &Suite) -> Vec<Metric> {
 /// Takes the processor as a parameter so tests can perturb a defect's
 /// trigger model (`tests/golden_gate.rs`) and watch the gate trip.
 pub fn temperature_metrics(suite: &Suite, processor: &Processor, quick: bool) -> Vec<Metric> {
-    // Mirrors the MIX1 panel of `repro fig8`: defect 1 drives the panel
-    // on the first fpu/f64/fam2 testcase it reaches.
-    let didx = 1.min(processor.defects.len().saturating_sub(1));
+    // The MIX1 panel of `repro fig8`, on the caller's processor.
+    let panel = temperature::MIX1_PANEL;
+    let didx = panel.defect.min(processor.defects.len().saturating_sub(1));
     let (core, tc) =
-        temperature::panel_setting(processor, &processor.defects[didx], suite, "fpu/f64/fam2");
+        temperature::panel_setting(processor, &processor.defects[didx], suite, panel.prefix);
     let Some(tc) = tc else {
         // A perturbed selectivity seed can detach the defect from every
         // panel testcase; report sentinel values so the gate fails loudly
@@ -223,8 +223,15 @@ pub fn temperature_metrics(suite: &Suite, processor: &Processor, quick: bool) ->
     // 60-minute window in both modes — the sweep is a small fraction of
     // the gate's total cost.
     let window = Duration::from_mins(60);
-    let temps: Vec<f64> = (60..=76).step_by(2).map(f64::from).collect();
-    let sweep = temperature::temperature_sweep(processor, suite, tc, core, &temps, window, 88);
+    let sweep = temperature::temperature_sweep(
+        processor,
+        suite,
+        tc,
+        core,
+        &panel.temps(),
+        window,
+        temperature::FIG8_SEED,
+    );
     let mut v = vec![metric(
         "temperature.mix1_fit_r",
         sweep.fit.map(|f| f.r).unwrap_or(f64::NAN),
@@ -292,7 +299,7 @@ pub fn collect_metrics(
     suite: &Suite,
     quick: bool,
 ) -> Vec<Metric> {
-    let mix1 = silicon::catalog::by_name("MIX1")
+    let mix1 = silicon::catalog::by_name(temperature::MIX1_PANEL.processor)
         .expect("invariant violated: MIX1 is in the catalog")
         .processor;
     let mut v = campaign_metrics(campaign);

@@ -198,10 +198,10 @@ fn eval_row(
     // coverage; `stream` tells the Farron and baseline rounds apart in
     // the fault plan.
     let mut run_round = |plan: &TestPlan, exec, mut root: DetRng, round, stream| {
-        let cache = Some(Arc::clone(&ctx.unit_cache));
+        let cache = Arc::clone(&ctx.unit_cache);
         let report = match mode {
             RoundMode::Plain => {
-                framework::run_plan_cached(processor, suite, plan, exec, &mut root, cache)
+                framework::run_plan_cached(processor, suite, plan, exec, &mut root, Some(cache))
             }
             RoundMode::Chaos {
                 plan: chaos,

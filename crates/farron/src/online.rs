@@ -20,7 +20,7 @@ use sdc_model::{DetRng, Duration, TestcaseId};
 use silicon::defect::DefectKind;
 use silicon::Processor;
 use thermal::{ThermalConfig, ThermalModel};
-use toolchain::Suite;
+use toolchain::{Suite, CLOCK_HZ};
 
 /// The protected application's workload shape.
 #[derive(Debug, Clone, Copy)]
@@ -41,7 +41,8 @@ pub struct AppProfile {
     pub spike_prob: f64,
 }
 
-/// Online-controller parameters.
+/// Online-controller parameters. Utilization becomes retire rates
+/// through the toolchain's fixed clock ([`CLOCK_HZ`]).
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineConfig {
     /// Simulated duration.
@@ -61,8 +62,6 @@ pub struct OnlineConfig {
     pub protected: bool,
     /// Which actuator the controller drives on a boundary excursion.
     pub control: ControlMode,
-    /// Virtual clock (Hz) for translating utilization into retire rates.
-    pub clock_hz: f64,
 }
 
 /// The two temperature-control actuators of §5: "We can control the
@@ -95,7 +94,6 @@ impl Default for OnlineConfig {
             backoff_factor: 0.5,
             protected: true,
             control: ControlMode::WorkloadBackoff,
-            clock_hz: 1e7,
         }
     }
 }
@@ -207,7 +205,7 @@ pub fn simulate_online(
                     DefectKind::CoherenceDrop => profile.invalidations_per_cycle,
                     DefectKind::TxIsolation => profile.tx_conflicts_per_cycle,
                 };
-                let lambda = events_per_cycle * cfg.clock_hz * util * rate * dt_secs;
+                let lambda = events_per_cycle * CLOCK_HZ * util * rate * dt_secs;
                 sdc_events += rng.poisson(lambda);
             }
         }

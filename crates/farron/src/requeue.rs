@@ -65,7 +65,7 @@ pub fn run_plan_requeue(
     plan: &TestPlan,
     cfg: ExecConfig,
     root: &DetRng,
-    cache: Option<Arc<ProfileCache>>,
+    cache: Arc<ProfileCache>,
     round_label: u64,
     chaos: &FaultPlan,
     policy: &RetryPolicy,
@@ -80,8 +80,7 @@ pub fn run_plan_requeue(
         let slot = run_slot(policy, chaos, label, || {
             // A fresh executor per window: thermal and clock state must
             // not leak between windows.
-            let mut executor = Executor::new(processor, cfg);
-            executor.set_cache(cache.clone());
+            let mut executor = Executor::with_cache(processor, cfg, Arc::clone(&cache));
             let mut rng = root.fork(label);
             executor
                 .try_run(tc, &cores, entry.duration, &mut rng)
@@ -146,7 +145,7 @@ mod tests {
             &plan,
             ExecConfig::default(),
             &root,
-            None,
+            ProfileCache::shared(),
             0xabc,
             &FaultPlan::default(),
             &RetryPolicy::default(),
@@ -174,7 +173,7 @@ mod tests {
                 &plan,
                 ExecConfig::default(),
                 &root,
-                None,
+                ProfileCache::shared(),
                 0xabc,
                 &storm(),
                 &RetryPolicy::default(),
@@ -201,7 +200,7 @@ mod tests {
             &TestPlan { entries: vec![] },
             ExecConfig::default(),
             &DetRng::new(55),
-            None,
+            ProfileCache::shared(),
             0xabc,
             &storm(),
             &RetryPolicy::default(),
@@ -230,7 +229,7 @@ mod tests {
             &plan,
             ExecConfig::default(),
             &DetRng::new(55),
-            None,
+            ProfileCache::shared(),
             0xabc,
             &FaultPlan::default(),
             &RetryPolicy::default(),
@@ -276,7 +275,7 @@ mod tests {
             &plan,
             ExecConfig::default(),
             &root,
-            None,
+            ProfileCache::shared(),
             0xabc,
             &FaultPlan::default(),
             &RetryPolicy::default(),
@@ -287,7 +286,7 @@ mod tests {
             &plan,
             ExecConfig::default(),
             &root,
-            None,
+            ProfileCache::shared(),
             0xabc,
             &chaos,
             &policy,
@@ -323,7 +322,7 @@ mod tests {
             &plan,
             ExecConfig::default(),
             &root,
-            None,
+            ProfileCache::shared(),
             0xabc,
             &FaultPlan::default(),
             &RetryPolicy::default(),
@@ -334,7 +333,7 @@ mod tests {
             &plan,
             ExecConfig::default(),
             &root,
-            None,
+            ProfileCache::shared(),
             0xabc,
             &storm(),
             &RetryPolicy::default(),

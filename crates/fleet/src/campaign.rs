@@ -205,7 +205,6 @@ pub fn run_campaign_resumable(
     resume: Option<&Checkpoint<ItemRecord>>,
 ) -> Result<ResumableRun<SupervisedCampaign>, CheckpointError> {
     let pipeline = StageSpec::default_pipeline();
-    let clock_hz = 1e7;
     let root = DetRng::new(cfg.seed).fork_str("fleet-campaign");
     let profile_cache = SuiteProfileCache::new();
     let snapshot = resume
@@ -230,7 +229,7 @@ pub fn run_campaign_resumable(
                 // supervision is transparent to a successful slot's result.
                 let mut rng = root.fork(label);
                 Ok::<_, SlotError>(processor_fate(
-                    processor, suite, &profiles, &pipeline, clock_hz, &mut rng,
+                    processor, suite, &profiles, &pipeline, &mut rng,
                 ))
             });
             ItemRecord::of(i, processor.arch, slot.result, &slot.report)
@@ -269,7 +268,6 @@ fn processor_fate(
     suite: &Suite,
     profiles: &crate::screening::StaticSuiteProfile,
     pipeline: &[StageSpec],
-    clock_hz: f64,
     rng: &mut DetRng,
 ) -> Fate {
     let activation = sample_activation_age(rng);
@@ -285,7 +283,7 @@ fn processor_fate(
                     continue;
                 }
                 let p = *p_round.get_or_insert_with(|| {
-                    stage_detection_probability(processor, suite, profiles, spec, clock_hz)
+                    stage_detection_probability(processor, suite, profiles, spec)
                 });
                 if rng.chance(p) {
                     return Fate::Caught(Stage::Regular, round);
@@ -295,7 +293,7 @@ fn processor_fate(
             if spec.age_years < activation {
                 continue;
             }
-            let p = stage_detection_probability(processor, suite, profiles, spec, clock_hz);
+            let p = stage_detection_probability(processor, suite, profiles, spec);
             if rng.chance(p) {
                 return Fate::Caught(spec.stage, 0);
             }

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use thermal::{ThermalConfig, ThermalModel};
-use toolchain::{builders, CacheStats, Suite, Testcase};
+use toolchain::{builders, CacheStats, Suite, Testcase, CLOCK_HZ};
 
 /// Static profile of one testcase instantiated on a given core count.
 #[derive(Debug, Clone)]
@@ -381,7 +381,6 @@ pub fn stage_detection_probability(
     suite: &Suite,
     profiles: &StaticSuiteProfile,
     stage: &StageSpec,
-    clock_hz: f64,
 ) -> f64 {
     assert_eq!(
         processor.physical_cores as usize,
@@ -419,7 +418,7 @@ pub fn stage_detection_probability(
                     if rate <= 0.0 {
                         continue;
                     }
-                    lambda += events_per_cycle * clock_hz * rate;
+                    lambda += events_per_cycle * CLOCK_HZ * rate;
                 }
             }
             log_survive += -(lambda * secs);
@@ -509,7 +508,7 @@ mod tests {
             suite_stride: 1,
             age_years: 0.12,
         };
-        let p = stage_detection_probability(&simd1, &suite, &profiles, &heavy, 1e7);
+        let p = stage_detection_probability(&simd1, &suite, &profiles, &heavy);
         assert!(
             p > 0.99,
             "apparent defect must be caught by the burn-in screen: {p}"
@@ -528,7 +527,7 @@ mod tests {
             suite_stride: 1,
             age_years: 0.12,
         };
-        let p = stage_detection_probability(&healthy, &suite, &profiles, &heavy, 1e7);
+        let p = stage_detection_probability(&healthy, &suite, &profiles, &heavy);
         assert_eq!(p, 0.0);
     }
 
@@ -539,7 +538,7 @@ mod tests {
         let simd1 = catalog::by_name("SIMD1").unwrap().processor;
         let profiles = StaticSuiteProfile::build(&suite, simd1.physical_cores as usize + 8);
         let spec = StageSpec::default_pipeline()[0];
-        stage_detection_probability(&simd1, &suite, &profiles, &spec, 1e7);
+        stage_detection_probability(&simd1, &suite, &profiles, &spec);
     }
 
     #[test]
@@ -561,8 +560,8 @@ mod tests {
             suite_stride: 1,
             age_years: 0.12,
         };
-        let pw = stage_detection_probability(&fpu2, &suite, &profiles, &weak, 1e7);
-        let ps = stage_detection_probability(&fpu2, &suite, &profiles, &strong, 1e7);
+        let pw = stage_detection_probability(&fpu2, &suite, &profiles, &weak);
+        let ps = stage_detection_probability(&fpu2, &suite, &profiles, &strong);
         assert!(ps > pw, "strong {ps} vs weak {pw}");
     }
 }

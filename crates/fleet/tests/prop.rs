@@ -36,7 +36,7 @@ proptest! {
             suite_stride: 1,
             age_years: 0.12,
         };
-        let prob = stage_detection_probability(&p, suite(), profiles16(), &spec, 1e7);
+        let prob = stage_detection_probability(&p, suite(), profiles16(), &spec);
         prop_assert!((0.0..=1.0).contains(&prob), "probability {prob}");
     }
 
@@ -55,8 +55,8 @@ proptest! {
             suite_stride: 1,
             age_years: 0.25,
         };
-        let short = stage_detection_probability(&p, suite(), profiles16(), &spec(5), 1e7);
-        let long = stage_detection_probability(&p, suite(), profiles16(), &spec(120), 1e7);
+        let short = stage_detection_probability(&p, suite(), profiles16(), &spec(5));
+        let long = stage_detection_probability(&p, suite(), profiles16(), &spec(120));
         prop_assert!(long >= short - 1e-12, "long {long} < short {short}");
     }
 
@@ -75,8 +75,8 @@ proptest! {
             suite_stride: stride,
             age_years: 0.02,
         };
-        let full = stage_detection_probability(&p, suite(), profiles16(), &spec(1), 1e7);
-        let sparse = stage_detection_probability(&p, suite(), profiles16(), &spec(8), 1e7);
+        let full = stage_detection_probability(&p, suite(), profiles16(), &spec(1));
+        let sparse = stage_detection_probability(&p, suite(), profiles16(), &spec(8));
         prop_assert!(sparse <= full + 1e-12, "sparse {sparse} > full {full}");
     }
 
@@ -90,7 +90,7 @@ proptest! {
             suite_stride: 1,
             age_years: 0.0,
         };
-        let p = stage_detection_probability(&healthy, suite(), profiles16(), &spec, 1e7);
+        let p = stage_detection_probability(&healthy, suite(), profiles16(), &spec);
         prop_assert_eq!(p, 0.0);
     }
 

@@ -1,27 +1,33 @@
 //! A thread-safe memoization cache for unit-run profiles.
 //!
 //! [`crate::Executor::run`] starts every accelerated run by profiling one
-//! unit of the workload in the VM. The profile depends only on the
-//! testcase, the core count, and the execution knobs that shape the unit
-//! run — not on the processor's defects (profiling runs fault-free) or on
-//! its thermal state. Across a fleet campaign, a multi-round evaluation,
-//! or the 27-case deep study, the same (testcase × shape) profile is
-//! recomputed thousands of times; a [`ProfileCache`] shared between
-//! executors makes each unique key execute once, with the profiling RNG
-//! derived purely from the key so cached and uncached runs are bitwise
-//! identical.
+//! unit of the workload in the VM. The unit run's shape is fixed, so the
+//! profile is a pure function of (testcase, core count): it does not
+//! depend on the processor's defects (profiling runs fault-free), on its
+//! thermal state, or on the executor's configuration. Every executor
+//! looks its profiles up in a [`ProfileCache`], either a private one or
+//! one shared with other executors. Across a fleet campaign, a
+//! multi-round evaluation, or the 27-case deep study, a shared cache
+//! makes each unique key execute once, with the profiling RNG derived
+//! purely from the key so sharing never changes a result.
+//!
+//! The cache has no bound: the key space is at most the suite's 633
+//! testcases × the package and sweep core counts, a few thousand
+//! entries.
 //!
 //! An entry keeps only what the executor reads back: per-core retire
-//! rates, power and event rates, the unit wall time, and the bit samples
-//! of the sites the unit retired. The profiler's per-core count tables
-//! (264 sites × 8 B per core) are condensed into the rates and dropped
-//! when the unit run ends.
+//! rates, power and event rates, and the bit samples of the sites the
+//! unit retired. The profiler's per-core count tables (264 sites × 8 B
+//! per core) are condensed into the rates and dropped when the unit run
+//! ends.
 
-use crate::executor::{compute_unit_profile, CoreProfile, ExecConfig};
+use crate::executor::{
+    compute_unit_profile, CoreProfile, ExecConfig, CLOCK_HZ, MAX_UNIT_STEPS, UNIT_ITERS,
+};
 use crate::profile::SampleTable;
 use crate::testcase::Testcase;
 use sdc_model::{DetRng, TestcaseId};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -31,50 +37,49 @@ pub struct CachedUnitProfile {
     /// Per-machine-core profiles (site rates, power, event rates),
     /// condensed from the profiler's per-core counts.
     pub(crate) profiles: Vec<CoreProfile>,
-    /// Unit wall time in seconds.
-    pub(crate) unit_secs: f64,
     /// The unit run's bit samples, which feed record materialization:
     /// one reservoir per retired site, none for the rest.
     pub(crate) samples: SampleTable,
 }
 
-impl CachedUnitProfile {
-    /// Unit wall time in seconds.
-    pub fn unit_secs(&self) -> f64 {
-        self.unit_secs
-    }
-}
-
-/// The memoization key: every input that shapes a unit profiling run.
+/// The memoization key of a unit profiling run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProfileKey {
     /// The testcase profiled.
     pub testcase: TestcaseId,
     /// Machine core count the testcase was instantiated on.
     pub cores: usize,
-    /// [`ExecConfig::unit_iters`].
+    /// Loop iterations of the unit run (always the executor's fixed
+    /// value).
     pub unit_iters: u32,
-    /// [`ExecConfig::clock_hz`], as raw bits (f64 is not `Eq`).
+    /// [`CLOCK_HZ`], as raw bits (f64 is not `Eq`).
     pub clock_hz_bits: u64,
-    /// [`ExecConfig::max_unit_steps`].
+    /// Step budget of the unit run (always the executor's fixed value).
     pub max_unit_steps: u64,
 }
 
 impl ProfileKey {
-    /// The key for running `testcase` on `cores` cores under `cfg`.
-    pub fn of(testcase: TestcaseId, cores: usize, cfg: &ExecConfig) -> ProfileKey {
+    /// The key for running `testcase` on `cores` cores. The unit run does
+    /// not depend on `_cfg`; the parameter keeps the signature of
+    /// callers that pass one.
+    pub fn of(testcase: TestcaseId, cores: usize, _cfg: &ExecConfig) -> ProfileKey {
+        ProfileKey::unit(testcase, cores)
+    }
+
+    /// The key of the executor's unit run of `testcase` on `cores` cores.
+    pub(crate) fn unit(testcase: TestcaseId, cores: usize) -> ProfileKey {
         ProfileKey {
             testcase,
             cores,
-            unit_iters: cfg.unit_iters,
-            clock_hz_bits: cfg.clock_hz.to_bits(),
-            max_unit_steps: cfg.max_unit_steps,
+            unit_iters: UNIT_ITERS,
+            clock_hz_bits: CLOCK_HZ.to_bits(),
+            max_unit_steps: MAX_UNIT_STEPS,
         }
     }
 
     /// The profiling RNG for this key — a pure function of the key, so a
-    /// profile computed on any thread (or not cached at all) draws the
-    /// same stream.
+    /// profile computed on any thread, in any cache, draws the same
+    /// stream.
     pub fn stream(&self) -> DetRng {
         DetRng::new(0x9e0f_11e5_eed5_0bad)
             .fork(self.testcase.0 as u64)
@@ -92,7 +97,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that created the entry and ran the computation.
     pub misses: u64,
-    /// Entries discarded to stay within capacity.
+    /// Entries discarded; always 0, since the cache has no bound.
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -112,69 +117,31 @@ impl CacheStats {
 
 type Slot = Arc<OnceLock<Arc<CachedUnitProfile>>>;
 
-struct Inner {
-    /// Each entry with the stamp of its last use; the smallest stamp is
-    /// the least recently used entry.
-    map: HashMap<ProfileKey, (Slot, u64)>,
-    /// The next use stamp.
-    clock: u64,
-}
-
-/// Shared, thread-safe unit-profile memoization with LRU eviction.
+/// Shared, thread-safe unit-profile memoization.
 ///
 /// Concurrency model: the map is guarded by a mutex held only for
 /// bookkeeping; the (expensive) profile computation runs outside the lock
 /// inside a per-key `OnceLock`, so two threads asking for the *same* key
 /// compute it once (the second blocks), while different keys compute in
 /// parallel.
+#[derive(Default)]
 pub struct ProfileCache {
-    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    inner: Mutex<Inner>,
+    map: Mutex<HashMap<ProfileKey, Slot>>,
 }
 
 impl std::fmt::Debug for ProfileCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
         f.debug_struct("ProfileCache")
-            .field("capacity", &self.capacity)
-            .field("stats", &s)
+            .field("stats", &self.stats())
             .finish()
     }
 }
 
-impl Default for ProfileCache {
-    /// A cache sized for a whole standard suite across several package
-    /// shapes (633 testcases × ~12 core counts).
-    fn default() -> Self {
-        ProfileCache::with_capacity(8192)
-    }
-}
-
 impl ProfileCache {
-    /// A cache holding at most `capacity` profiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "zero-capacity profile cache");
-        ProfileCache {
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                clock: 0,
-            }),
-        }
-    }
-
-    /// A fresh default-capacity cache behind an [`Arc`], ready to share
-    /// between executors.
+    /// A fresh cache behind an [`Arc`], ready to share between
+    /// executors.
     pub fn shared() -> Arc<ProfileCache> {
         Arc::new(ProfileCache::default())
     }
@@ -185,42 +152,27 @@ impl ProfileCache {
     where
         F: FnOnce() -> CachedUnitProfile,
     {
-        let slot: Slot = {
-            let mut inner = self.inner.lock().expect("profile cache poisoned");
-            let stamp = inner.clock;
-            inner.clock += 1;
-            if let Some((slot, used)) = inner.map.get_mut(&key) {
+        let slot: Slot = match self.map.lock().expect("profile cache poisoned").entry(key) {
+            Entry::Occupied(e) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                *used = stamp;
-                slot.clone()
-            } else {
+                e.get().clone()
+            }
+            Entry::Vacant(e) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                if inner.map.len() >= self.capacity {
-                    let oldest = *inner
-                        .map
-                        .iter()
-                        .min_by_key(|(_, (_, used))| *used)
-                        .expect("a full cache has entries")
-                        .0;
-                    inner.map.remove(&oldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                let slot: Slot = Arc::new(OnceLock::new());
-                inner.map.insert(key, (slot.clone(), stamp));
-                slot
+                e.insert(Slot::default()).clone()
             }
         };
         slot.get_or_init(|| Arc::new(compute())).clone()
     }
 
-    /// The unit profile of `tc` on `cores` cores under `cfg`, computed on
-    /// first use. This is the lookup every [`crate::Executor`] run makes
-    /// first; callers that know their keys ahead (the deep study) make it
-    /// for many keys in parallel to warm the cache, so that their
-    /// executors then hit on every lookup.
-    pub fn profile(&self, tc: &Testcase, cores: usize, cfg: &ExecConfig) -> Arc<CachedUnitProfile> {
-        let key = ProfileKey::of(tc.id, cores, cfg);
-        self.get_or_compute(key, || compute_unit_profile(tc, key, cfg))
+    /// The unit profile of `tc` on `cores` cores, computed on first use.
+    /// This is the lookup every [`crate::Executor`] run makes first;
+    /// callers that know their keys ahead (the deep study) make it for
+    /// many keys in parallel to warm the cache, so that their executors
+    /// then hit on every lookup.
+    pub fn profile(&self, tc: &Testcase, cores: usize) -> Arc<CachedUnitProfile> {
+        let key = ProfileKey::unit(tc.id, cores);
+        self.get_or_compute(key, || compute_unit_profile(tc, key))
     }
 
     /// Current counters.
@@ -228,8 +180,8 @@ impl ProfileCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.inner.lock().expect("profile cache poisoned").map.len(),
+            evictions: 0,
+            entries: self.map.lock().expect("profile cache poisoned").len(),
         }
     }
 }
@@ -239,22 +191,21 @@ mod tests {
     use super::*;
     use rand::RngCore as _;
 
-    fn dummy_profile(tag: f64) -> CachedUnitProfile {
+    fn dummy_profile() -> CachedUnitProfile {
         CachedUnitProfile {
             profiles: Vec::new(),
-            unit_secs: tag,
             samples: SampleTable::default(),
         }
     }
 
     fn key(tc: u32) -> ProfileKey {
-        ProfileKey::of(TestcaseId(tc), 4, &ExecConfig::default())
+        ProfileKey::unit(TestcaseId(tc), 4)
     }
 
     #[test]
     fn compute_runs_once_per_key() {
-        let cache = ProfileCache::with_capacity(8);
-        let a = cache.get_or_compute(key(1), || dummy_profile(1.0));
+        let cache = ProfileCache::default();
+        let a = cache.get_or_compute(key(1), dummy_profile);
         let b = cache.get_or_compute(key(1), || panic!("second compute for a cached key"));
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
@@ -264,37 +215,12 @@ mod tests {
 
     #[test]
     fn distinct_keys_are_distinct_entries() {
-        let cache = ProfileCache::with_capacity(8);
-        cache.get_or_compute(key(1), || dummy_profile(1.0));
-        cache.get_or_compute(key(2), || dummy_profile(2.0));
-        let mut cfg = ExecConfig::default();
-        cfg.unit_iters += 1;
-        cache.get_or_compute(ProfileKey::of(TestcaseId(1), 4, &cfg), || {
-            dummy_profile(3.0)
-        });
+        let cache = ProfileCache::default();
+        cache.get_or_compute(key(1), dummy_profile);
+        cache.get_or_compute(key(2), dummy_profile);
+        cache.get_or_compute(ProfileKey::unit(TestcaseId(1), 8), dummy_profile);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3));
-    }
-
-    #[test]
-    fn lru_eviction_respects_capacity_and_recency() {
-        let cache = ProfileCache::with_capacity(2);
-        cache.get_or_compute(key(1), || dummy_profile(1.0));
-        cache.get_or_compute(key(2), || dummy_profile(2.0));
-        // Touch 1 so 2 becomes the eviction victim.
-        cache.get_or_compute(key(1), || unreachable!());
-        cache.get_or_compute(key(3), || dummy_profile(3.0));
-        let s = cache.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.evictions, 1);
-        // 1 survived; 2 was evicted and recomputes.
-        cache.get_or_compute(key(1), || panic!("1 must still be resident"));
-        let mut recomputed = false;
-        cache.get_or_compute(key(2), || {
-            recomputed = true;
-            dummy_profile(2.0)
-        });
-        assert!(recomputed, "2 must have been evicted");
     }
 
     #[test]
@@ -304,6 +230,28 @@ mod tests {
         let c = key(10).stream().next_u64();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// The first two draws of the profiling stream for three keys, pinned
+    /// to their recorded values: a change to `stream()` (a dropped or
+    /// reordered fork) or to the fixed unit-run shape changes every unit
+    /// profile, and with it the reproduction's output.
+    #[test]
+    fn key_stream_is_pinned() {
+        // 450 is the suite's first lock-counter (consistency) testcase.
+        let pins = [
+            (0, 8, [0x884e_2fc9_2d26_39cf, 0xd6f5_f423_966a_06c0]),
+            (300, 24, [0xd711_5867_4da9_05bf, 0x9bdf_04a1_b921_8f0f]),
+            (450, 64, [0xe0a0_9339_64fb_bd8c, 0x0e7a_54c3_95f9_ffc5]),
+        ];
+        for (tc, cores, want) in pins {
+            let mut rng = ProfileKey::of(TestcaseId(tc), cores, &ExecConfig::default()).stream();
+            assert_eq!(
+                [rng.next_u64(), rng.next_u64()],
+                want,
+                "testcase {tc} at {cores} cores"
+            );
+        }
     }
 
     /// The cached sample table answers every site exactly as the live
@@ -332,13 +280,12 @@ mod tests {
             first(&|tc| matches!(tc.spec, WorkloadSpec::LockCounter { .. })),
             first(&|tc| matches!(tc.spec, WorkloadSpec::TxCounter { .. })),
         ];
-        let cfg = ExecConfig::default();
         let cache = ProfileCache::default();
         for tc in picks {
             for cores in [8, 24, 64] {
-                let key = ProfileKey::of(tc.id, cores, &cfg);
+                let key = ProfileKey::unit(tc.id, cores);
                 let mut rng = key.stream();
-                let built = builders::build(tc, cores, cfg.unit_iters, rng.next_u64());
+                let built = builders::build(tc, cores, UNIT_ITERS, rng.next_u64());
                 let mut machine = Machine::new(cores, built.mem_bytes);
                 for &(addr, val) in &built.mem_init {
                     machine.mem.raw_write_u64(addr, val);
@@ -350,10 +297,10 @@ mod tests {
                 }
                 let mut live = Profiler::new(rng.fork(0x9821));
                 let mut interleave = rng.fork(0x77aa);
-                let out = machine.run(&mut live, &mut interleave, cfg.max_unit_steps);
+                let out = machine.run(&mut live, &mut interleave, MAX_UNIT_STEPS);
                 assert!(out.completed);
 
-                let unit = cache.profile(tc, cores, &cfg);
+                let unit = cache.profile(tc, cores);
                 let mut retired = 0;
                 for class in InstClass::ALL {
                     for dt in DataType::ALL {
@@ -376,7 +323,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_computes_once() {
-        let cache = Arc::new(ProfileCache::with_capacity(8));
+        let cache = ProfileCache::shared();
         let computed = Arc::new(AtomicU64::new(0));
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -385,7 +332,7 @@ mod tests {
                 s.spawn(move || {
                     cache.get_or_compute(key(5), || {
                         computed.fetch_add(1, Ordering::Relaxed);
-                        dummy_profile(5.0)
+                        dummy_profile()
                     });
                 });
             }

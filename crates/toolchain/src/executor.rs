@@ -7,7 +7,11 @@
 //! discrete-event model in time chunks — thermal state first, then
 //! Poisson-sampled defect firings at the current temperatures. This is
 //! the only practical way to observe a 0.01-errors-per-minute defect
-//! (Observation 9's low end) over simulated weeks of testing.
+//! (Observation 9's low end) over simulated weeks of testing. The unit
+//! profile is a pure function of (testcase, core count): the unit run's
+//! shape is fixed ([`CLOCK_HZ`], `UNIT_ITERS`, `MAX_UNIT_STEPS`), its RNG
+//! comes from [`ProfileKey::stream`], and every executor looks it up in
+//! a [`ProfileCache`], private or shared.
 //!
 //! **Execute mode** ([`Executor::run_vm`]) runs the whole workload in the
 //! VM against both a golden machine and a fault-injected machine and
@@ -32,14 +36,22 @@ use thermal::{ThermalConfig, ThermalModel};
 /// shorter when the duration is not a whole number of chunks).
 pub(crate) const CHUNK: Duration = Duration::from_secs(1);
 
-/// Executor configuration. The accelerated run's time step is fixed at
-/// 1 s (`CHUNK`).
+/// Simulated core clock in Hz: virtual time is cycles / `CLOCK_HZ`, and
+/// per-cycle event rates become per-second rates through it.
+pub const CLOCK_HZ: f64 = 1e7;
+
+/// Loop iterations of the profiling unit run.
+pub(crate) const UNIT_ITERS: u32 = 4;
+
+/// Step budget for VM runs (guards against spin-heavy interleavings).
+pub(crate) const MAX_UNIT_STEPS: u64 = 40_000_000;
+
+/// Executor configuration: the test environment of a run. The unit run
+/// that profiles a testcase is fixed ([`CLOCK_HZ`], `UNIT_ITERS`,
+/// `MAX_UNIT_STEPS`), and so is the accelerated run's 1 s time step
+/// (`CHUNK`).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
-    /// Simulated core clock in Hz (virtual time = cycles / clock).
-    pub clock_hz: f64,
-    /// Loop iterations of the profiling unit run.
-    pub unit_iters: u32,
     /// Cap on materialized SDC records per testcase run (the error *count*
     /// is exact; only record materialization is capped).
     pub max_records: usize,
@@ -54,8 +66,6 @@ pub struct ExecConfig {
     /// (Farron's whole-package heating; also the paper's §5 method to
     /// separate utilization from temperature).
     pub stress_idle_cores: bool,
-    /// Step budget for VM runs (guards against spin-heavy interleavings).
-    pub max_unit_steps: u64,
     /// Run accelerated mode through the seed chunk loop
     /// ([`Executor::try_run_reference`]) instead of the event-skipping
     /// fast path. Results are bitwise identical either way (proven by
@@ -68,13 +78,10 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            clock_hz: 1e7,
-            unit_iters: 4,
             max_records: 2048,
             preheat_c: None,
             hold_temp_c: None,
             stress_idle_cores: false,
-            max_unit_steps: 40_000_000,
             reference_executor: false,
         }
     }
@@ -294,8 +301,8 @@ pub struct Executor<'p> {
     /// Virtual wall clock (persists across runs).
     pub clock: VirtualClock,
     cfg: ExecConfig,
-    /// Shared unit-profile memoization; `None` computes every profile.
-    cache: Option<Arc<ProfileCache>>,
+    /// Unit-profile memoization, private or shared with other executors.
+    cache: Arc<ProfileCache>,
 }
 
 impl std::fmt::Debug for Executor<'_> {
@@ -303,50 +310,27 @@ impl std::fmt::Debug for Executor<'_> {
         f.debug_struct("Executor")
             .field("processor", &self.processor.id)
             .field("cfg", &self.cfg)
-            .field("cached", &self.cache.is_some())
             .finish()
     }
 }
 
 impl<'p> Executor<'p> {
-    /// A fresh executor for `processor` at idle temperature.
+    /// A fresh executor for `processor` at idle temperature, with a
+    /// private unit-profile cache.
     pub fn new(processor: &'p Processor, cfg: ExecConfig) -> Self {
+        Executor::with_cache(processor, cfg, ProfileCache::shared())
+    }
+
+    /// A fresh executor sharing `cache` for unit profiles. A profile is a
+    /// pure function of (testcase, core count), so sharing changes what
+    /// is computed, never a result.
+    pub fn with_cache(processor: &'p Processor, cfg: ExecConfig, cache: Arc<ProfileCache>) -> Self {
         Executor {
             processor,
             thermal: ThermalModel::new(processor.physical_cores as usize, ThermalConfig::default()),
             clock: VirtualClock::new(),
             cfg,
-            cache: None,
-        }
-    }
-
-    /// A fresh executor sharing `cache` for unit profiles. Profiling
-    /// streams are derived from the cache key, so results are bitwise
-    /// identical with or without a cache.
-    pub fn with_cache(processor: &'p Processor, cfg: ExecConfig, cache: Arc<ProfileCache>) -> Self {
-        let mut e = Executor::new(processor, cfg);
-        e.cache = Some(cache);
-        e
-    }
-
-    /// Attaches (or detaches) a shared unit-profile cache.
-    pub fn set_cache(&mut self, cache: Option<Arc<ProfileCache>>) {
-        self.cache = cache;
-    }
-
-    /// Profiles one unit of `tc` on the VM (through the shared cache when
-    /// one is attached). The profile is a pure function of the
-    /// [`ProfileKey`] — the RNG driving the unit run is derived from the
-    /// key, not from the caller's stream — so every executor observes the
-    /// same profile for the same key.
-    fn profile_unit(&self, tc: &Testcase, cores: &[u16]) -> Arc<CachedUnitProfile> {
-        match &self.cache {
-            Some(cache) => cache.profile(tc, cores.len(), &self.cfg),
-            None => Arc::new(compute_unit_profile(
-                tc,
-                ProfileKey::of(tc.id, cores.len(), &self.cfg),
-                &self.cfg,
-            )),
+            cache,
         }
     }
 
@@ -422,7 +406,7 @@ impl<'p> Executor<'p> {
             return self.try_run_reference(tc, cores, duration, rng);
         }
         self.check_cores(tc, cores)?;
-        let unit = self.profile_unit(tc, cores);
+        let unit = self.cache.profile(tc, cores.len());
         let profiles = &unit.profiles;
         let sampler_samples = &unit.samples;
         let processor = self.processor;
@@ -693,7 +677,7 @@ impl<'p> Executor<'p> {
         rng: &mut DetRng,
     ) -> Result<TestcaseRun, ExecError> {
         self.check_cores(tc, cores)?;
-        let unit = self.profile_unit(tc, cores);
+        let unit = self.cache.profile(tc, cores.len());
         let profiles = &unit.profiles;
         let sampler_samples = &unit.samples;
 
@@ -955,7 +939,7 @@ impl<'p> Executor<'p> {
             } else {
                 Err(ExecError::StepBudget {
                     testcase: tc.id,
-                    budget: self.cfg.max_unit_steps,
+                    budget: MAX_UNIT_STEPS,
                 })
             }
         };
@@ -966,7 +950,7 @@ impl<'p> Executor<'p> {
             machine.mem.raw_write_u64(addr, val);
         }
         let mut interleave = golden_rng.fork(0x5150);
-        let out = machine.run(&mut NoFaults, &mut interleave, self.cfg.max_unit_steps);
+        let out = machine.run(&mut NoFaults, &mut interleave, MAX_UNIT_STEPS);
         budget_exceeded(&out)?;
         // Capture everything the comparison needs from the golden machine
         // before it is restarted for the faulty run.
@@ -997,7 +981,7 @@ impl<'p> Executor<'p> {
             .collect();
         let mut injector = Injector::new(&gated, cores.to_vec(), 45.0, faulty_rng.fork(0x1f));
         injector.set_temps(&temps);
-        let out = machine.run(&mut injector, &mut interleave, self.cfg.max_unit_steps);
+        let out = machine.run(&mut injector, &mut interleave, MAX_UNIT_STEPS);
         budget_exceeded(&out)?;
         let faulty = machine;
 
@@ -1058,7 +1042,7 @@ impl<'p> Executor<'p> {
                 errors_per_core[idx] += 1;
             }
         }
-        let duration = Duration::from_secs_f64(golden_cycles as f64 / self.cfg.clock_hz);
+        let duration = Duration::from_secs_f64(golden_cycles as f64 / CLOCK_HZ);
         self.clock.advance(duration);
         Ok(TestcaseRun {
             testcase: tc.id,
@@ -1078,14 +1062,10 @@ impl<'p> Executor<'p> {
 /// become per-core site rates, and its bit samples move into a sparse
 /// sample table. All randomness comes from
 /// [`ProfileKey::stream`], making the result a pure function of
-/// `(tc, key, cfg)`.
-pub(crate) fn compute_unit_profile(
-    tc: &Testcase,
-    key: ProfileKey,
-    cfg: &ExecConfig,
-) -> CachedUnitProfile {
+/// `(tc, key)`.
+pub(crate) fn compute_unit_profile(tc: &Testcase, key: ProfileKey) -> CachedUnitProfile {
     let mut rng = key.stream();
-    let built = builders::build(tc, key.cores, cfg.unit_iters, rng.next_u64());
+    let built = builders::build(tc, key.cores, UNIT_ITERS, rng.next_u64());
     let mut machine = Machine::new(key.cores, built.mem_bytes);
     for &(addr, val) in &built.mem_init {
         machine.mem.raw_write_u64(addr, val);
@@ -1099,13 +1079,13 @@ pub(crate) fn compute_unit_profile(
     }
     let mut profiler = Profiler::new(rng.fork(0x9821));
     let mut interleave = rng.fork(0x77aa);
-    let out = machine.run(&mut profiler, &mut interleave, cfg.max_unit_steps);
+    let out = machine.run(&mut profiler, &mut interleave, MAX_UNIT_STEPS);
     assert!(
         out.completed,
         "unit run of {} exceeded the step budget",
         tc.name
     );
-    let unit_secs = (out.cycles.max(1)) as f64 / cfg.clock_hz;
+    let unit_secs = (out.cycles.max(1)) as f64 / CLOCK_HZ;
     let mut profiles = vec![CoreProfile::default(); key.cores];
     for ((core, class, dt), count) in profiler.counts() {
         profiles[core]
@@ -1132,7 +1112,6 @@ pub(crate) fn compute_unit_profile(
     }
     CachedUnitProfile {
         profiles,
-        unit_secs,
         samples: profiler.into_samples(),
     }
 }

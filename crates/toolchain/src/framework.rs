@@ -110,9 +110,9 @@ pub fn run_plan(
     run_plan_cached(processor, suite, plan, cfg, rng, None)
 }
 
-/// [`run_plan`] with an optional shared unit-profile cache; repeated
-/// rounds of the same plan then profile each (testcase × shape) once.
-/// Results are identical with or without the cache.
+/// [`run_plan`] with an optional shared unit-profile cache (`None` means
+/// a fresh one); repeated rounds of the same plan then profile each
+/// (testcase × shape) once. Results do not depend on the cache.
 ///
 /// # Panics
 ///
@@ -127,8 +127,7 @@ pub fn run_plan_cached(
     cache: Option<std::sync::Arc<crate::cache::ProfileCache>>,
 ) -> TestReport {
     let cores: Vec<u16> = (0..processor.physical_cores).collect();
-    let mut executor = Executor::new(processor, cfg);
-    executor.set_cache(cache);
+    let mut executor = Executor::with_cache(processor, cfg, cache.unwrap_or_default());
     let runs = plan
         .entries
         .iter()

@@ -10,7 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use toolchain::{ExecConfig, ProfileCache, Suite};
+use toolchain::{ProfileCache, Suite};
 
 /// Upper bound on the heap bytes one 24-core entry retains, cache
 /// bookkeeping included. An entry measures about 4.4 KB; one that kept
@@ -70,11 +70,10 @@ static ALLOC: Counting = Counting;
 #[test]
 fn cached_unit_profiles_retain_little_heap() {
     let suite = Suite::standard();
-    let cfg = ExecConfig::default();
     let cache = ProfileCache::default();
     let before = net_bytes();
     for tc in suite.testcases() {
-        cache.profile(tc, 24, &cfg);
+        cache.profile(tc, 24);
     }
     let retained = net_bytes() - before;
     let entries = cache.stats().entries;

@@ -2,7 +2,7 @@
 # Tier-1 verification (see ROADMAP.md): formatting, release build, the
 # root test suite, every workspace crate's tests in release, the bench
 # regression gates, the benchmark package (perfbench/) build and tests,
-# clippy and rustdoc.
+# clippy (perfbench/ too) and rustdoc.
 # CI runs this script as its only tier-1 step. Run from anywhere; exits
 # non-zero on the first failure.
 #
@@ -52,6 +52,10 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1: clippy (linted crates, tests and benches too) =="
 cargo clippy -q --all-targets -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis -p sdc-repro -p conformance -p silicon -p bench -p thermal -p softfloat -p ftol -- -D warnings -D clippy::perf
+
+# perfbench/ is its own workspace and reads the toolchain's public API.
+echo "== tier-1: clippy (perfbench) =="
+cargo clippy -q --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings -D clippy::perf
 
 # Broken or ambiguous intra-doc links (e.g. to a deleted item) fail here.
 echo "== tier-1: rustdoc (warnings are errors) =="

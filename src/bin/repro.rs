@@ -487,44 +487,31 @@ fn fig8(s: &Session) {
     } else {
         Duration::from_mins(60)
     };
-    // (name, defect index driving the panel, fixed core, workload prefix,
-    //  temperature range); testcases are chosen among those the panel
-    //  defect's code paths actually reach (§4.1 selectivity).
-    type Panel = (&'static str, usize, Option<u16>, &'static str, Vec<f64>);
-    let panels: [Panel; 3] = [
-        (
-            "MIX1",
-            1,
-            None,
-            "fpu/f64/fam2",
-            (60..=76).step_by(2).map(f64::from).collect(),
-        ),
-        (
-            "MIX2",
-            1,
-            None,
-            "fpu/f64/fam1",
-            (56..=68).step_by(2).map(f64::from).collect(),
-        ),
-        (
-            "FPU2",
-            0,
-            Some(8),
-            "fpu/atan/f64/",
-            (48..=56).step_by(2).map(f64::from).collect(),
-        ),
-    ];
-    for (name, didx, core, prefix, temps) in panels {
+    // Testcases are chosen among those the panel defect's code paths
+    // actually reach (§4.1 selectivity).
+    for panel in temperature::FIG8_PANELS {
+        let name = panel.processor;
         let processor = silicon::catalog::by_name(name)
             .expect("invariant violated: figure 8 panels name catalog processors")
             .processor;
-        let (hottest, tc) =
-            temperature::panel_setting(&processor, &processor.defects[didx], &s.suite, prefix);
-        let core = core.unwrap_or(hottest);
+        let (hottest, tc) = temperature::panel_setting(
+            &processor,
+            &processor.defects[panel.defect],
+            &s.suite,
+            panel.prefix,
+        );
+        let core = panel.core.unwrap_or(hottest);
         let tc =
             tc.expect("invariant violated: every figure 8 panel defect matches a suite testcase");
-        let sweep =
-            temperature::temperature_sweep(&processor, &s.suite, tc, core, &temps, window, 88);
+        let sweep = temperature::temperature_sweep(
+            &processor,
+            &s.suite,
+            tc,
+            core,
+            &panel.temps(),
+            window,
+            temperature::FIG8_SEED,
+        );
         let pts: Vec<String> = sweep
             .points
             .iter()
@@ -747,12 +734,14 @@ fn extensions(s: &Session) {
     {
         use farron::{simulate_online, AppProfile, ControlMode, OnlineConfig};
         use sdc_model::DetRng;
-        let mix1 = silicon::catalog::by_name("MIX1")
+        let panel = temperature::MIX1_PANEL;
+        let mix1 = silicon::catalog::by_name(panel.processor)
             .expect("invariant violated: MIX1 is a catalog processor")
             .processor;
-        let tc = temperature::panel_setting(&mix1, &mix1.defects[1], suite, "fpu/f64/fam2")
-            .1
-            .expect("invariant violated: MIX1's tricky defect matches a suite workload");
+        let tc =
+            temperature::panel_setting(&mix1, &mix1.defects[panel.defect], suite, panel.prefix)
+                .1
+                .expect("invariant violated: MIX1's tricky defect matches a suite workload");
         let app = AppProfile {
             testcase: tc,
             utilization: 0.5,

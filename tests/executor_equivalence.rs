@@ -10,7 +10,6 @@ use rand::RngCore as _;
 use sdc_model::{ArchId, CpuId, DataType, DetRng, Duration};
 use silicon::{catalog, BitPattern, Defect, DefectKind, DefectScope, Processor, Trigger};
 use softcore::InstClass;
-use std::sync::Arc;
 use toolchain::{ExecConfig, Executor, ProfileCache, Suite, TestcaseRun};
 
 /// Testcases some defect of `p` applies to, by name prefix.
@@ -45,7 +44,7 @@ fn assert_equivalent(
     seed: u64,
     legs: &[(sdc_model::TestcaseId, &[u16], Duration)],
 ) -> Vec<TestcaseRun> {
-    let cache = Arc::new(ProfileCache::with_capacity(64));
+    let cache = ProfileCache::shared();
     let mut fast = Executor::with_cache(processor, cfg, cache.clone());
     let ref_cfg = ExecConfig {
         reference_executor: true,
