@@ -135,11 +135,12 @@ impl CampaignOutcome {
 
 /// Runs the four-stage campaign over a sampled fleet.
 ///
-/// The suite is walked once, and each distinct core count adds its steady
-/// temperatures once ([`SuiteProfileCache`]); each defective processor
-/// then walks the lifecycle, getting caught at a stage with the screening
-/// probability (regular testing is applied once per three-month round of
-/// the processor's age).
+/// Every campaign on `suite` shares its memoized walk
+/// ([`Suite::static_profiles`]), and each distinct core count adds its
+/// steady temperatures once ([`SuiteProfileCache`]); each defective
+/// processor then walks the lifecycle, getting caught at a stage with the
+/// screening probability (regular testing is applied once per
+/// three-month round of the processor's age).
 ///
 /// Defective processors are sharded across `cfg.threads` workers
 /// ([`crate::parallel::run_indexed`]); each processor's randomness is a

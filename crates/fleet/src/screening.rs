@@ -4,13 +4,16 @@
 //! 633 testcases × stage) would dominate a million-CPU campaign, so
 //! fleet screening uses a closed form: for each testcase the programs of
 //! *one* instance are *walked* (not executed) to count retire sites per
-//! (class, datatype) and cycles per iteration. The walk does not depend
-//! on the core count (see [`StaticProfile::of`]), so a
-//! [`SuiteProfileCache`] walks the suite once and shares the walks across
-//! every package shape. Only each testcase's steady-state package
-//! temperature depends on the core count: it comes from the thermal
-//! model once per core count and is stored beside the shared walks. The
-//! per-stage detection probability is then `1 − Π exp(−λ_tc · D)`.
+//! (class, datatype) and cycles per iteration. The walk
+//! ([`toolchain::static_profile`], re-exported here) depends on neither
+//! the core count nor a seed, so it is memoized per suite
+//! ([`Suite::static_profiles`]): every [`SuiteProfileCache`] handed the
+//! same suite, and so every campaign of a seed sweep, shares one walk
+//! across every package shape. Only each testcase's steady-state package
+//! temperature depends on the core count: a cache adds it from the
+//! thermal model once per core count and stores it beside the shared
+//! walk. The per-stage detection probability is then
+//! `1 − Π exp(−λ_tc · D)`.
 //!
 //! The deep-study analyses use the full executor instead, and no test
 //! compares the closed form with it. The closed form is tested for being
@@ -19,188 +22,20 @@
 //! one-instance walk, the cached profiles and the stored temperatures
 //! are checked bit for bit against the all-instances walk, a fresh
 //! [`StaticSuiteProfile::build`] and the thermal model
-//! (`tests/screening_one_instance.rs`).
+//! (`tests/screening_one_instance.rs`), and the closed form, which
+//! evaluates each defect's trigger curve once per testcase, against the
+//! per-core [`silicon::Defect::rate`] loop (`tests/screening_closed_form.rs`).
 
 use crate::lifecycle::StageSpec;
-use sdc_model::DataType;
 use silicon::defect::DefectKind;
 use silicon::Processor;
-use softcore::{Inst, InstClass, Program};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use thermal::{ThermalConfig, ThermalModel};
-use toolchain::{builders, CacheStats, Suite, Testcase, CLOCK_HZ};
+use toolchain::{CacheStats, Suite, Testcase, CLOCK_HZ};
 
-/// Static profile of one testcase instantiated on a given core count.
-#[derive(Debug, Clone)]
-pub struct StaticProfile {
-    /// (class, dt) → retire sites per cycle, for the *busiest* program.
-    pub sites_per_cycle: HashMap<(InstClass, DataType), f64>,
-    /// Energy per cycle (thermal power proxy).
-    pub power: f64,
-    /// Estimated cache-invalidation deliveries per cycle per core
-    /// (multi-threaded testcases only).
-    pub invalidations_per_cycle: f64,
-    /// Estimated conflicted transactional commits per cycle per core.
-    pub tx_conflicts_per_cycle: f64,
-    /// Whether the testcase is multi-threaded.
-    pub multithread: bool,
-}
-
-/// What walking one program counts, loop multipliers applied.
-#[derive(Debug)]
-pub struct ProgramWalk {
-    /// (class, dt) → retire sites per iteration.
-    pub sites: HashMap<(InstClass, DataType), f64>,
-    /// Cycles per iteration (at least 1).
-    pub cycles: f64,
-    /// Energy per iteration.
-    pub energy: f64,
-    /// Shared-memory writes (stores, CAS, lock traffic) per iteration.
-    pub shared_writes: f64,
-    /// Transactional commits per iteration.
-    pub commits: f64,
-}
-
-/// Walks a program, accumulating per-(class, dt) site counts, cycles,
-/// energy, and shared-memory traffic with loop multipliers.
-pub fn walk(program: &Program) -> ProgramWalk {
-    let mut sites: HashMap<(InstClass, DataType), f64> = HashMap::new();
-    let mut cycles = 0f64;
-    let mut energy = 0f64;
-    let mut shared_writes = 0f64;
-    let mut commits = 0f64;
-    let mut mult: Vec<f64> = vec![1.0];
-    for inst in program.insts() {
-        let m = *mult
-            .last()
-            .expect("invariant violated: the loop-multiplier stack always keeps its base entry");
-        match *inst {
-            Inst::LoopStart { count } => {
-                cycles += m;
-                energy += m * InstClass::Control.energy();
-                mult.push(m * count as f64);
-                continue;
-            }
-            Inst::LoopEnd => {
-                let inner = mult
-                    .pop()
-                    .expect("invariant violated: LoopEnd must close a matching LoopStart");
-                cycles += inner;
-                energy += inner * InstClass::Control.energy();
-                continue;
-            }
-            _ => {}
-        }
-        let class = inst.class();
-        cycles += m * class.cycles() as f64;
-        energy += m * class.energy();
-        match *inst {
-            Inst::IntOp { dt, .. } => {
-                *sites.entry((class, dt)).or_insert(0.0) += m;
-            }
-            Inst::FOp { prec, .. } | Inst::FFma { prec, .. } | Inst::FAtan { prec, .. } => {
-                *sites.entry((class, prec.datatype())).or_insert(0.0) += m;
-            }
-            Inst::XOp { .. } | Inst::XAtan { .. } => {
-                *sites.entry((class, DataType::F64X)).or_insert(0.0) += m;
-            }
-            Inst::VOp { lane, .. } => {
-                *sites.entry((class, lane.datatype())).or_insert(0.0) += m * lane.lanes() as f64;
-            }
-            Inst::Crc32Step { .. } => {
-                *sites.entry((class, DataType::Bin32)).or_insert(0.0) += m;
-            }
-            Inst::HashMix { .. } => {
-                *sites.entry((class, DataType::Bin64)).or_insert(0.0) += m;
-            }
-            Inst::Store { .. }
-            | Inst::Cas { .. }
-            | Inst::LockAcquire { .. }
-            | Inst::LockRelease { .. } => {
-                shared_writes += m;
-            }
-            Inst::TxCommit { .. } => {
-                commits += m;
-            }
-            _ => {}
-        }
-    }
-    ProgramWalk {
-        sites,
-        cycles: cycles.max(1.0),
-        energy,
-        shared_writes,
-        commits,
-    }
-}
-
-impl StaticProfile {
-    /// Profiles `tc` as instantiated on `machine_cores` cores.
-    ///
-    /// Walks one instance only: core 0's program, or group 0's threads
-    /// for a multi-threaded testcase, keeping the busiest. Every other
-    /// instance walks the same, so the result does not depend on
-    /// `machine_cores` — instance `k` draws from its own fork of the
-    /// testcase's stream, and the builders draw only immediates and
-    /// memory contents from it, never program structure. That is why a
-    /// [`SuiteProfileCache`] walks each testcase once for every core
-    /// count it serves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machine_cores` is smaller than the testcase's thread
-    /// count.
-    pub fn of(tc: &Testcase, machine_cores: usize) -> StaticProfile {
-        let threads = tc.threads as usize;
-        assert!(
-            machine_cores >= threads,
-            "machine has fewer cores than testcase threads"
-        );
-        let instance = builders::build(tc, threads, 8, 0x57a71c);
-        let mut busiest: Option<ProgramWalk> = None;
-        for program in instance.programs.iter().flatten() {
-            let w = walk(program);
-            if busiest.as_ref().is_none_or(|b| w.cycles > b.cycles) {
-                busiest = Some(w);
-            }
-        }
-        StaticProfile::from_walk(
-            tc,
-            busiest.expect("invariant violated: every testcase builds at least one program"),
-        )
-    }
-
-    /// The profile of `tc` whose busiest program walked as `walk`.
-    pub fn from_walk(tc: &Testcase, walk: ProgramWalk) -> StaticProfile {
-        let ProgramWalk {
-            sites,
-            cycles,
-            energy,
-            shared_writes,
-            commits,
-        } = walk;
-        let multithread = tc.threads > 1;
-        StaticProfile {
-            sites_per_cycle: sites.into_iter().map(|(k, v)| (k, v / cycles)).collect(),
-            power: energy / cycles,
-            // Each shared write invalidates the sharing peers' copies
-            // roughly once; conflicts hit a fraction of commits.
-            invalidations_per_cycle: if multithread {
-                shared_writes / cycles
-            } else {
-                0.0
-            },
-            tx_conflicts_per_cycle: if multithread {
-                commits * 0.2 / cycles
-            } else {
-                0.0
-            },
-            multithread,
-        }
-    }
-}
+pub use toolchain::static_profile::{walk, ProgramWalk, StaticProfile};
 
 /// Static profiles of a whole suite on one core count, shared across
 /// every processor of that shape: the suite's walks, which every core
@@ -213,26 +48,28 @@ pub struct StaticSuiteProfile {
     cores: usize,
 }
 
-/// The walks of every testcase of `suite`, sharded across `threads`
-/// workers (`0` = available parallelism). Walking has no randomness and
-/// no core count, so the result is identical for every thread count and
-/// serves every package shape.
-fn walk_suite(suite: &Suite, threads: usize) -> Arc<[StaticProfile]> {
-    crate::parallel::run_indexed(suite.testcases(), threads, |_, tc| {
+/// The walks of `testcases`, sharded across `threads` workers (`0` =
+/// available parallelism). Walking has no randomness and no core count,
+/// so the result is identical for every thread count and serves every
+/// package shape.
+fn walk_suite(testcases: &[Testcase], threads: usize) -> Arc<[StaticProfile]> {
+    crate::parallel::run_indexed(testcases, threads, |_, tc| {
         StaticProfile::of(tc, tc.threads as usize)
     })
     .into()
 }
 
 impl StaticSuiteProfile {
-    /// Profiles every testcase of `suite` for `machine_cores` cores.
+    /// Profiles every testcase of `suite` for `machine_cores` cores from
+    /// a fresh walk: neither the suite's memoized walk nor any cache is
+    /// read or filled.
     ///
     /// # Panics
     ///
     /// Panics if `machine_cores` is smaller than a testcase's thread
     /// count.
     pub fn build(suite: &Suite, machine_cores: usize) -> StaticSuiteProfile {
-        StaticSuiteProfile::on_cores(suite, walk_suite(suite, 1), machine_cores)
+        StaticSuiteProfile::on_cores(suite, walk_suite(suite.testcases(), 1), machine_cores)
     }
 
     /// `walks` of `suite`, with each testcase's steady-state temperature
@@ -287,16 +124,18 @@ impl StaticSuiteProfile {
 /// count.
 ///
 /// A campaign's workers all need the suite profile for each package
-/// shape. This cache walks the suite once, and each core count adds only
-/// its steady temperatures, once — same lock discipline as `toolchain`'s
+/// shape. The cache walks nothing itself: it takes the walk the suite
+/// memoizes ([`Suite::static_profiles`]), so every cache handed the same
+/// suite shares one walk, and each core count adds only its steady
+/// temperatures, once — same lock discipline as `toolchain`'s
 /// unit-profile cache (mutex for bookkeeping only, the builds run
-/// outside the lock in `OnceLock`s). Entries are keyed by core count
-/// alone, so one cache serves one suite.
+/// outside the lock in `OnceLock`s). Each core-count lookup counts one
+/// hit or miss. Entries are keyed by core count alone, so one cache
+/// serves one suite.
 #[derive(Default)]
 pub struct SuiteProfileCache {
     hits: AtomicU64,
     misses: AtomicU64,
-    walks: OnceLock<Arc<[StaticProfile]>>,
     inner: Mutex<HashMap<usize, Arc<OnceLock<Arc<StaticSuiteProfile>>>>>,
 }
 
@@ -314,10 +153,11 @@ impl SuiteProfileCache {
         SuiteProfileCache::default()
     }
 
-    /// The suite profile for `machine_cores`, built on first use. The
-    /// first build walks the suite with `build_threads` workers; later
-    /// core counts reuse that walk. Concurrent callers asking for the
-    /// same core count build once; the rest block on the entry.
+    /// The suite profile for `machine_cores`, built on first use. If
+    /// `suite` has not been walked yet, the first build walks it with
+    /// `build_threads` workers; every later build, of this cache or any
+    /// other, reuses that walk. Concurrent callers asking for the same
+    /// core count build once; the rest block on the entry.
     pub fn get_or_build(
         &self,
         suite: &Suite,
@@ -340,7 +180,7 @@ impl SuiteProfileCache {
             }
         };
         slot.get_or_init(|| {
-            let walks = self.walks.get_or_init(|| walk_suite(suite, build_threads));
+            let walks = suite.static_profiles(|tcs| walk_suite(tcs, build_threads));
             Arc::new(StaticSuiteProfile::on_cores(
                 suite,
                 Arc::clone(walks),
@@ -413,8 +253,15 @@ pub fn stage_detection_probability(
                     DefectKind::CoherenceDrop => profile.invalidations_per_cycle,
                     DefectKind::TxIsolation => profile.tx_conflicts_per_cycle,
                 };
+                // `Defect::rate` per core, with the trigger curve (one
+                // `powf`) evaluated once for the package temperature.
+                let at_temp = defect.trigger.rate_at(temp);
                 for core in 0..processor.physical_cores {
-                    let rate = defect.rate(core, temp);
+                    let scale = defect.scope.core_scale(core);
+                    if scale == 0.0 {
+                        continue;
+                    }
+                    let rate = (at_temp * scale).clamp(0.0, 0.5);
                     if rate <= 0.0 {
                         continue;
                     }
@@ -435,66 +282,6 @@ mod tests {
     use super::*;
     use sdc_model::Duration;
     use silicon::catalog;
-
-    #[test]
-    fn walk_counts_loop_multiplied_sites() {
-        use softcore::{IntOpKind, ProgramBuilder};
-        let mut b = ProgramBuilder::new();
-        b.mov_imm(0, 1);
-        b.loop_start(10);
-        b.int_op(IntOpKind::Add, DataType::I32, 1, 0, 0);
-        b.loop_end();
-        let ProgramWalk {
-            sites,
-            cycles,
-            energy,
-            ..
-        } = walk(&b.build());
-        assert_eq!(sites[&(InstClass::IntArith, DataType::I32)], 10.0);
-        assert!(cycles >= 10.0);
-        assert!(energy > 0.0);
-    }
-
-    #[test]
-    fn profiles_distinguish_features() {
-        let suite = Suite::standard();
-        let atan_id = suite
-            .testcases()
-            .iter()
-            .find(|t| t.name.starts_with("fpu/atan/f64/"))
-            .unwrap()
-            .id;
-        let p = StaticProfile::of(suite.get(atan_id), 4);
-        assert!(p
-            .sites_per_cycle
-            .contains_key(&(InstClass::FloatAtan, DataType::F64)));
-        assert!(!p
-            .sites_per_cycle
-            .contains_key(&(InstClass::VecFma, DataType::F32)));
-        assert!(!p.multithread);
-    }
-
-    #[test]
-    fn multithread_profiles_estimate_events() {
-        let suite = Suite::standard();
-        let lock_id = suite
-            .testcases()
-            .iter()
-            .find(|t| t.name.starts_with("cache/lock"))
-            .unwrap()
-            .id;
-        let p = StaticProfile::of(suite.get(lock_id), 4);
-        assert!(p.multithread);
-        assert!(p.invalidations_per_cycle > 0.0);
-        let tx_id = suite
-            .testcases()
-            .iter()
-            .find(|t| t.name.starts_with("trx/"))
-            .unwrap()
-            .id;
-        let p = StaticProfile::of(suite.get(tx_id), 4);
-        assert!(p.tx_conflicts_per_cycle > 0.0);
-    }
 
     #[test]
     fn heavyweight_stage_detects_apparent_defect() {

@@ -1,9 +1,11 @@
 //! Fleet screening walks one instance per testcase, shares the walks
-//! across core counts and stores steady temperatures per core count;
-//! each shortcut must reproduce the all-instances walk, a fresh suite
-//! build and the per-call thermal model bit for bit.
+//! across core counts, caches and campaigns of one suite, and stores
+//! steady temperatures per core count; each shortcut must reproduce the
+//! all-instances walk, a fresh suite build and the per-call thermal
+//! model bit for bit.
 
 use fleet::screening::{walk, ProgramWalk, StaticProfile, StaticSuiteProfile, SuiteProfileCache};
+use fleet::{run_campaign, FleetConfig};
 use std::sync::{Arc, Barrier};
 use thermal::{ThermalConfig, ThermalModel};
 use toolchain::{builders, Suite, Testcase};
@@ -183,10 +185,43 @@ fn core_counts_of_one_cache_share_one_walk() {
     }
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (2, shapes().len() as u64));
-    assert!(!std::ptr::eq(
+    // The walk belongs to the suite, so a second cache reuses it too.
+    assert!(std::ptr::eq(
         first.get(0),
         SuiteProfileCache::new().get_or_build(&suite, 16, 1).get(0)
     ));
+}
+
+/// The suite's walk, which must already exist.
+fn memoized_walk(suite: &Suite) -> Arc<[StaticProfile]> {
+    Arc::clone(suite.static_profiles(|_| panic!("the suite was not walked yet")))
+}
+
+#[test]
+fn campaigns_on_one_suite_share_one_walk() {
+    let suite = Suite::standard();
+    let mut walks = Vec::new();
+    for threads in [1, 2] {
+        let cfg = FleetConfig {
+            total_cpus: 200_000,
+            seed: 2021,
+            threads,
+        };
+        let stats = run_campaign(&cfg, &suite).suite_cache;
+        // One lookup per defective processor, one miss per package
+        // shape: the counters recorded before the walk moved into the
+        // suite, which moving it must not change.
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries, stats.evictions),
+            (66, 5, 5, 0),
+            "suite cache at {threads} threads"
+        );
+        walks.push(memoized_walk(&suite));
+    }
+    assert!(
+        Arc::ptr_eq(&walks[0], &walks[1]),
+        "the second campaign re-walked"
+    );
 }
 
 #[test]

@@ -20,6 +20,10 @@
 //! model of (defect × temperature × instruction-throughput) over the
 //! requested virtual duration — the only way to observe a 0.01-errors-per-
 //! minute defect over simulated weeks.
+//!
+//! Fleet-scale screening cannot afford either mode for every testcase of
+//! every defective processor, so [`static_profile`] *walks* the built
+//! programs instead, and each [`Suite`] memoizes its testcases' walks.
 
 pub mod builders;
 pub mod cache;
@@ -27,6 +31,7 @@ pub mod error;
 pub mod executor;
 pub mod framework;
 pub mod profile;
+pub mod static_profile;
 pub mod suite;
 pub mod testcase;
 

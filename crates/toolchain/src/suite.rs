@@ -11,8 +11,10 @@
 //! exactly 633, with the feature mix weighted toward the float/vector
 //! workloads cloud testcases emphasize.
 
+use crate::static_profile::StaticProfile;
 use crate::testcase::{Testcase, WorkloadKind, WorkloadSpec};
 use sdc_model::{DataType, Feature, TestcaseId};
+use std::sync::{Arc, OnceLock};
 
 /// Feature budgets (sum = 633).
 pub const BUDGETS: [(Feature, usize); 5] = [
@@ -25,6 +27,11 @@ pub const BUDGETS: [(Feature, usize); 5] = [
 
 /// The full toolchain suite.
 ///
+/// A suite also memoizes its testcases' static profiles
+/// ([`Suite::static_profiles`]): they depend on the testcases alone, so
+/// every campaign, study and core count that reads them through one
+/// suite shares one walk. A clone made after the walk shares it too.
+///
 /// # Examples
 ///
 /// ```
@@ -35,9 +42,19 @@ pub const BUDGETS: [(Feature, usize); 5] = [
 /// let consistency = suite.by_feature(sdc_model::Feature::Cache);
 /// assert!(consistency.iter().all(|&id| suite.get(id).threads > 1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Suite {
     testcases: Vec<Testcase>,
+    static_profiles: OnceLock<Arc<[StaticProfile]>>,
+}
+
+/// The walk is derived from the testcases, so it is left out.
+impl std::fmt::Debug for Suite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Suite")
+            .field("testcases", &self.testcases)
+            .finish()
+    }
 }
 
 impl Suite {
@@ -62,7 +79,10 @@ impl Suite {
                 next_id += 1;
             }
         }
-        Suite { testcases }
+        Suite {
+            testcases,
+            static_profiles: OnceLock::new(),
+        }
     }
 
     /// All testcases in id order.
@@ -87,6 +107,32 @@ impl Suite {
     /// Panics on an unknown id.
     pub fn get(&self, id: TestcaseId) -> &Testcase {
         &self.testcases[id.0 as usize]
+    }
+
+    /// The static profile of every testcase, in id order, walked by
+    /// `walk_all` on first use and shared by every later call. Concurrent
+    /// first callers block until one walk finishes; the other closures
+    /// never run. `walk_all` chooses only how the walk is scheduled (a
+    /// caller may shard it across threads): entry `i` must be
+    /// `StaticProfile::of` testcase `i` on its own thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `walk_all` returns a profile count other than
+    /// [`Suite::len`].
+    pub fn static_profiles(
+        &self,
+        walk_all: impl FnOnce(&[Testcase]) -> Arc<[StaticProfile]>,
+    ) -> &Arc<[StaticProfile]> {
+        self.static_profiles.get_or_init(|| {
+            let walks = walk_all(&self.testcases);
+            assert_eq!(
+                walks.len(),
+                self.testcases.len(),
+                "one static profile per testcase"
+            );
+            walks
+        })
     }
 
     /// Ids of testcases targeting `feature`.
@@ -356,6 +402,18 @@ mod tests {
                 "missing complexity tier {kind:?}"
             );
         }
+    }
+
+    #[test]
+    fn debug_output_leaves_the_walk_out() {
+        let s = Suite::standard();
+        let before = format!("{s:?}");
+        s.static_profiles(|tcs| {
+            tcs.iter()
+                .map(|tc| StaticProfile::of(tc, tc.threads as usize))
+                .collect()
+        });
+        assert_eq!(format!("{s:?}"), before);
     }
 
     #[test]

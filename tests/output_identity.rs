@@ -1,0 +1,76 @@
+//! Output identity for Tables 1–2: `repro`'s stdout for each run below
+//! must hash to the FNV-1a digest recorded on the commit before fleet
+//! screening shared one walk per suite and evaluated the trigger curve
+//! once per testcase. Those refactors must not move a byte, and neither
+//! may later ones; a failure names every run whose output moved.
+//!
+//! After a deliberate output change, re-record a digest by running the
+//! listed command and hashing its stdout with [`fnv1a`].
+
+use std::process::Command;
+
+const CHAOS: &str = "offline=0.05,preempt=0.10,seed=7";
+
+/// (arguments, FNV-1a of stdout).
+const RUNS: [(&[&str], u64); 5] = [
+    (
+        &["table1", "table2", "--quick", "--threads", "1"],
+        0xe583_5d51_59cf_c7b8,
+    ),
+    (
+        &["table1", "table2", "--quick", "--threads", "2"],
+        0xe583_5d51_59cf_c7b8,
+    ),
+    (
+        &["table1", "table2", "--threads", "2"],
+        0x695c_0c80_65aa_142c,
+    ),
+    (
+        &["table1", "--quick", "--chaos", CHAOS, "--threads", "1"],
+        0x027a_c35e_b213_3c08,
+    ),
+    (
+        &["table1", "--quick", "--chaos", CHAOS, "--threads", "2"],
+        0x027a_c35e_b213_3c08,
+    ),
+];
+
+/// 64-bit FNV-1a, with `sdc_model::rng`'s offset basis and prime.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn fnv1a_matches_the_reference_vectors() {
+    assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+}
+
+#[test]
+fn tables_1_and_2_print_the_recorded_bytes() {
+    let moved: Vec<String> = RUNS
+        .iter()
+        .filter_map(|&(args, want)| {
+            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args(args)
+                .output()
+                .expect("repro starts");
+            let cmd = format!("repro {}", args.join(" "));
+            assert!(
+                out.status.success(),
+                "{cmd} exited with {}: {}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let got = fnv1a(&out.stdout);
+            (got != want)
+                .then(|| format!("{cmd}: stdout digest {got:#018x}, recorded {want:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "output moved:\n{}", moved.join("\n"));
+}
