@@ -331,6 +331,12 @@ where
         let rec = work(i, item);
         if let Some(store) = store {
             let mut s = sink.lock().expect("checkpoint sink");
+            // The stop flag is only set under this lock, so an item that
+            // finishes after the kill (or a failed write) sees it here
+            // and records nothing, as after a real SIGKILL.
+            if stop.load(Ordering::Relaxed) {
+                return None;
+            }
             s.snapshot.items.push(rec.clone());
             s.since_write += 1;
             s.new_done += 1;
@@ -575,6 +581,45 @@ mod tests {
                 other => panic!("prefix of {end}/{} bytes: {other:?}", text.len()),
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn straggler_finishing_after_the_kill_records_nothing() {
+        // Two workers, a kill after one completion and a snapshot per
+        // completion: item 0 holds its worker until item 1's snapshot is
+        // on disk, so it finishes after the kill fired.
+        let dir =
+            std::env::temp_dir().join(format!("sdc-ck-test-straggler-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ck.json");
+        std::fs::remove_file(&path).ok();
+        let mut store = CheckpointStore::new(&path, 1);
+        store.kill_after = Some(1);
+        let run = run_checkpointed(
+            &[(); 2],
+            2,
+            Some(&store),
+            Checkpoint::empty(fp()),
+            |r: &ItemRecord| Some(r.index as usize),
+            |i, _| {
+                if i == 0 {
+                    let start = std::time::Instant::now();
+                    while !path.exists() {
+                        assert!(
+                            start.elapsed().as_secs() < 60,
+                            "item 1's snapshot never appeared"
+                        );
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                }
+                record(i, None)
+            },
+        );
+        assert!(matches!(run, Ok(ResumableRun::Interrupted)));
+        let snapshot = Checkpoint::<ItemRecord>::load(&path, &fp()).unwrap();
+        let indices: Vec<u64> = snapshot.items.iter().map(|r| r.index).collect();
+        assert_eq!(indices, [1], "the straggler must not be recorded");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -155,6 +155,39 @@ impl ThermalModel {
         (self.cfg.idle_temp_c + self.cooling_factor * (own + others)).min(self.cfg.max_temp_c)
     }
 
+    /// Every core's [`Self::target_temp`], bit for bit, in one pass.
+    ///
+    /// Each core's "others" sum keeps `target_temp`'s index-order fold,
+    /// but the folds run side by side: power `i` is added to every
+    /// core's running sum except core `i`'s. Skipping that add is the
+    /// same as adding −0.0, the additive identity for every f64, so no
+    /// bit differs from the filtered fold, and the inner loops carry no
+    /// branch.
+    pub fn target_temps(&self) -> Vec<f64> {
+        // `Iterator::sum`'s start value, whichever zero the standard
+        // library picks.
+        let mut others = vec![std::iter::empty::<f64>().sum::<f64>(); self.powers.len()];
+        for (i, &p) in self.powers.iter().enumerate() {
+            let (before, rest) = others.split_at_mut(i);
+            for o in before {
+                *o += p;
+            }
+            for o in &mut rest[1..] {
+                *o += p;
+            }
+        }
+        self.powers
+            .iter()
+            .zip(others)
+            .map(|(&p, others)| {
+                let own = self.cfg.r_self * p;
+                let others = others * self.cfg.r_share;
+                (self.cfg.idle_temp_c + self.cooling_factor * (own + others))
+                    .min(self.cfg.max_temp_c)
+            })
+            .collect()
+    }
+
     /// The relaxation fraction for one step of `dt`: a temperature moves
     /// `alpha` of the way toward its target per [`Self::advance`] call.
     ///
@@ -389,6 +422,50 @@ mod tests {
         for c in 0..3 {
             assert_eq!(a.temp(c).to_bits(), b.temp(c).to_bits(), "core {c}");
         }
+    }
+
+    #[test]
+    fn target_temps_match_target_temp_bitwise() {
+        let mut rng = sdc_model::DetRng::new(0x7e4);
+        for cores in 1..=64 {
+            // Random powers; zeros of both signs; runs of equal powers
+            // (tested cores amid idle or stressed neighbours); powers
+            // large enough to clamp at `max_temp_c`.
+            let random: Vec<f64> = (0..cores).map(|_| rng.range_f64(0.0, 1.6)).collect();
+            let zeros: Vec<f64> = (0..cores)
+                .map(|c| match c % 3 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.range_f64(0.0, 1.6),
+                })
+                .collect();
+            let runs: Vec<f64> = (0..cores)
+                .map(|c| if c % 7 < 4 { 1.2 } else { 0.3 + (c / 7) as f64 })
+                .collect();
+            let hot: Vec<f64> = (0..cores).map(|_| rng.range_f64(1.0, 8.0)).collect();
+            for powers in [random, zeros, runs, hot] {
+                for cooling in [1.0, 0.35] {
+                    let mut m = model(cores);
+                    for (c, &p) in powers.iter().enumerate() {
+                        m.set_power(c, p);
+                    }
+                    m.set_cooling_factor(cooling);
+                    let all = m.target_temps();
+                    assert_eq!(all.len(), cores);
+                    for (c, t) in all.iter().enumerate() {
+                        assert_eq!(
+                            t.to_bits(),
+                            m.target_temp(c).to_bits(),
+                            "{cores} cores, core {c}, cooling {cooling}, powers {powers:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The clamp is reached: a package of hot cores targets max_temp_c.
+        let mut m = model(4);
+        m.set_all_powers(8.0);
+        assert!(m.target_temps().iter().all(|&t| t == 100.0));
     }
 
     #[test]

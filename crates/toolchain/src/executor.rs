@@ -13,6 +13,19 @@
 //! comes from [`ProfileKey::stream`], and every executor looks it up in
 //! a [`ProfileCache`], private or shared.
 //!
+//! The chunk loop's package-wide work runs as single passes over the
+//! cores, each pinned to the reference loop's bits
+//! (`tests/executor_equivalence.rs`): every core's target temperature
+//! once per run ([`ThermalModel::target_temps`]), then per chunk one
+//! branch-free thermal step and one masked max for the hottest tested
+//! core. [`Executor::try_run`] gives the bit-identity argument for each.
+//! A steady-state memo takes over once the temperatures stop changing,
+//! but with τ = 15 s that bitwise fixed point lies hundreds of chunks
+//! out, past a study run's 30 s (quick) or 2 min (full): no quick study
+//! or quick Farron eval run reaches it, and 4 of 3,268 full study runs
+//! do. The transient chunk is the hot path; the memo serves held
+//! temperatures (steady from the first chunk) and long windows.
+//!
 //! **Execute mode** ([`Executor::run_vm`]) runs the whole workload in the
 //! VM against both a golden machine and a fault-injected machine and
 //! derives SDC records from output differences and invariant violations —
@@ -181,7 +194,32 @@ struct ActivePair<'d> {
     /// Index into `cores` / `errors_per_core`.
     idx: usize,
     pcore: u16,
+    /// `defect.scope.core_scale(pcore)`, nonzero for a kept pair.
+    scale: f64,
     events: PairEvents,
+}
+
+/// The last trigger-curve value a chunk computed: (defect, temperature
+/// bits, `rate_at`). A defect's pairs are adjacent, and the cores of a
+/// symmetric workload share a temperature, so most pairs repeat the
+/// previous pair's `rate_at` input; a pure function of equal inputs
+/// needs no second `powf`.
+type CurveMemo<'d> = Option<(&'d Defect, u64, f64)>;
+
+impl<'d> ActivePair<'d> {
+    /// [`Defect::rate`] at `temp` with the core scale hoisted: for a
+    /// nonzero scale it is this very expression.
+    fn rate(&self, temp: f64, memo: &mut CurveMemo<'d>) -> f64 {
+        let at_temp = match *memo {
+            Some((d, bits, at)) if std::ptr::eq(d, self.defect) && bits == temp.to_bits() => at,
+            _ => {
+                let at = self.defect.trigger.rate_at(temp);
+                *memo = Some((self.defect, temp.to_bits(), at));
+                at
+            }
+        };
+        (at_temp * self.scale).clamp(0.0, 0.5)
+    }
 }
 
 /// Per-pair memo once the thermal trajectory reaches its fixed point:
@@ -242,16 +280,43 @@ impl Tally {
 /// core monotonically toward its target without overshoot, so in f64
 /// the per-core sequence is monotone over a finite value set and lands
 /// on an exact fixed point, after which every further chunk is a no-op.
+/// Changes are found by ORing the XOR of old and new bits, so the loop
+/// has no branch.
 fn step_temps(temps: &mut [f64], targets: &[f64], alpha: f64) -> bool {
-    let mut unchanged = true;
+    let mut changed = 0u64;
     for (t, &target) in temps.iter_mut().zip(targets) {
         let next = *t + (target - *t) * alpha;
-        if next.to_bits() != t.to_bits() {
-            unchanged = false;
-        }
+        changed |= next.to_bits() ^ t.to_bits();
         *t = next;
     }
-    unchanged
+    changed == 0
+}
+
+/// The hottest tested core: the max of `temps[c] + mask[c]`, where the
+/// mask is −0.0 on tested cores and −∞ elsewhere, over four
+/// accumulators.
+///
+/// It equals the reference's left fold of `f64::max` over the tested
+/// cores in list order: `t + (−0.0)` is `t` bit for bit (also for
+/// `t = −0.0`, which `t + 0.0` would turn into +0.0), an untested core
+/// adds −∞, the fold's own start value, and max over finite values does
+/// not depend on their order or on repeats (only a tie of +0.0 against
+/// −0.0 could go either way, and the executor never mixes the two).
+/// Temperatures are finite, so the max is a plain comparison, without
+/// `f64::max`'s NaN handling, and compiles to packed max instructions.
+fn hottest(temps: &[f64], mask: &[f64]) -> f64 {
+    let max = |a: f64, b: f64| if b > a { b } else { a };
+    let mut acc = [f64::NEG_INFINITY; 4];
+    let (t4, m4) = (temps.chunks_exact(4), mask.chunks_exact(4));
+    for (&t, &m) in t4.remainder().iter().zip(m4.remainder()) {
+        acc[0] = max(acc[0], t + m);
+    }
+    for (t, m) in t4.zip(m4) {
+        for ((a, &t), &m) in acc.iter_mut().zip(t).zip(m) {
+            *a = max(*a, t + m);
+        }
+    }
+    max(max(acc[0], acc[1]), max(acc[2], acc[3]))
 }
 
 /// Materializes up to `max_records − records.len()` computation records
@@ -377,7 +442,7 @@ impl<'p> Executor<'p> {
     ///
     /// This is the event-skipping fast path. It is bitwise identical to
     /// [`Executor::try_run_reference`] — same [`TestcaseRun`], same RNG
-    /// stream consumption, same final thermal/clock state — via three
+    /// stream consumption, same final thermal/clock state — via these
     /// draw-equivalent shortcuts:
     ///
     /// * **zero-rate pruning** — (defect, core) pairs whose rate is zero
@@ -385,11 +450,24 @@ impl<'p> Executor<'p> {
     ///   zero event base rate) never reach a Poisson draw in the seed
     ///   loop (`continue`, or a non-positive mean that returns before
     ///   consuming randomness), so they are dropped up front;
+    /// * **per-pair constants hoisted** — a kept pair stores its core
+    ///   scale, so a chunk computes `(rate_at(temp) * scale).clamp(0.0,
+    ///   0.5)`, the expression [`Defect::rate`] returns for a nonzero
+    ///   scale; a pair whose (defect, temperature) repeats the previous
+    ///   pair's reuses that `rate_at` value;
     /// * **live thermal integration** — the chunk loop steps a local
     ///   copy of the temperatures with the exact `advance` arithmetic
-    ///   ([`ThermalModel::step_alpha`]) against targets computed once,
-    ///   and writes them back at the end; the first chunk that changes
-    ///   no temperature bit is the curve's fixed point;
+    ///   ([`ThermalModel::step_alpha`]) against targets computed once
+    ///   per run by [`ThermalModel::target_temps`] (each core's
+    ///   index-order fold of the others' powers, skipping its own term,
+    ///   which is adding −0.0, the additive identity), and writes them
+    ///   back at the end; the step ORs the XOR of old and new bits, and
+    ///   the first chunk that changes no temperature bit is the curve's
+    ///   fixed point;
+    /// * **hottest tested core as one masked max** — `max(t + mask)`
+    ///   over all cores, the mask −0.0 on tested cores and −∞ elsewhere:
+    ///   `t + (−0.0)` is `t`, an untested core adds the reference
+    ///   fold's own −∞ start, and max over finite values is order-free;
     /// * **steady-state memoization** — past the fixed point every
     ///   chunk's Poisson mean is a constant, so the trigger's `powf`
     ///   and `exp(-lambda)` are hoisted and draws go through
@@ -414,24 +492,17 @@ impl<'p> Executor<'p> {
         if let Some(t) = self.cfg.preheat_c {
             self.thermal.preheat(t);
         }
-        // Tested-core lookup built once — replaces the seed loop's
-        // per-core `position` scan and `tested` HashSet (first index
-        // wins, matching `position` if a core is listed twice).
+        // Package power and the `hottest` mask (−0.0 on tested cores,
+        // −∞ elsewhere) in one pass over `cores`, backwards so the first
+        // listing of a repeated core wins, as the reference's `position`
+        // scan does. Untested cores idle or run stress load.
         let phys = processor.physical_cores as usize;
-        let mut core_index: Vec<Option<usize>> = vec![None; phys];
-        for (idx, &c) in cores.iter().enumerate() {
-            let slot = &mut core_index[c as usize];
-            if slot.is_none() {
-                *slot = Some(idx);
-            }
-        }
-        for (pc, slot) in core_index.iter().enumerate() {
-            let power = match slot {
-                Some(idx) => profiles[*idx].power,
-                None if self.cfg.stress_idle_cores => 1.2,
-                None => 0.0,
-            };
-            self.thermal.set_power(pc, power);
+        self.thermal
+            .set_all_powers(if self.cfg.stress_idle_cores { 1.2 } else { 0.0 });
+        let mut mask = vec![f64::NEG_INFINITY; phys];
+        for (idx, &c) in cores.iter().enumerate().rev() {
+            self.thermal.set_power(c as usize, profiles[idx].power);
+            mask[c as usize] = -0.0;
         }
 
         // Retained (defect, tested core) pairs in the seed loop's draw
@@ -443,26 +514,27 @@ impl<'p> Executor<'p> {
                 continue;
             }
             for (idx, &pcore) in cores.iter().enumerate() {
-                if defect.scope.core_scale(pcore) <= 0.0 {
+                let scale = defect.scope.core_scale(pcore);
+                if scale <= 0.0 {
                     continue;
                 }
                 let events = match &defect.kind {
                     DefectKind::Computation { .. } => {
-                        let matching: Vec<((InstClass, DataType), f64)> = profiles[idx]
+                        let (keys, weights): (Vec<_>, Vec<f64>) = profiles[idx]
                             .site_rates
                             .iter()
                             .filter(|((class, dt_), _)| defect.matches(*class, *dt_))
                             .copied()
-                            .collect();
-                        let sites = CompSites {
-                            keys: matching.iter().map(|&(k, _)| k).collect(),
-                            weights: matching.iter().map(|&(_, v)| v).collect(),
-                            total_rate: matching.iter().map(|&(_, v)| v).sum(),
-                        };
-                        if sites.total_rate <= 0.0 {
+                            .unzip();
+                        let total_rate = weights.iter().sum();
+                        if total_rate <= 0.0 {
                             continue;
                         }
-                        PairEvents::Comp(sites)
+                        PairEvents::Comp(CompSites {
+                            keys,
+                            weights,
+                            total_rate,
+                        })
                     }
                     DefectKind::CoherenceDrop => {
                         let per = profiles[idx].invalidations_per_sec;
@@ -483,6 +555,7 @@ impl<'p> Executor<'p> {
                     defect,
                     idx,
                     pcore,
+                    scale,
                     events,
                 });
             }
@@ -501,20 +574,13 @@ impl<'p> Executor<'p> {
             self.thermal.preheat(h);
         }
         let mut temps = self.thermal.temps().to_vec();
-        // Targets are fixed while powers are fixed; hoist the O(cores²)
-        // target computation out of the chunk loop.
+        // Targets are fixed while powers are fixed: one `target_temps`
+        // pass per run (cores² vectorized adds), outside the chunk loop.
         let targets: Vec<f64> = match hold {
             Some(_) => Vec::new(),
-            None => (0..phys).map(|c| self.thermal.target_temp(c)).collect(),
+            None => self.thermal.target_temps(),
         };
         let alpha = self.thermal.step_alpha(CHUNK);
-
-        let hottest = |temps: &[f64]| {
-            cores
-                .iter()
-                .map(|&c| temps[c as usize])
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
         // Records the `k` events one pair fired in a chunk: the same
         // draws, in the same order, as the reference loop.
         let record = |tally: &mut Tally,
@@ -555,10 +621,11 @@ impl<'p> Executor<'p> {
         let transient =
             |tally: &mut Tally, temps: &[f64], dt: Duration, at: Duration, rng: &mut DetRng| {
                 let dt_secs = dt.as_secs_f64();
-                tally.chunk(hottest(temps));
+                tally.chunk(hottest(temps, &mask));
+                let mut memo = None;
                 for pair in &active {
                     let temp = temps[pair.pcore as usize];
-                    let rate = pair.defect.rate(pair.pcore, temp);
+                    let rate = pair.rate(temp, &mut memo);
                     if rate <= 0.0 {
                         continue;
                     }
@@ -572,9 +639,10 @@ impl<'p> Executor<'p> {
         // same way the reference loop `continue`s on them every chunk.
         let make_steady = |temps: &[f64]| -> SteadyState {
             let mut pairs = Vec::new();
+            let mut memo = None;
             for (active_i, pair) in active.iter().enumerate() {
                 let temp = temps[pair.pcore as usize];
-                let rate = pair.defect.rate(pair.pcore, temp);
+                let rate = pair.rate(temp, &mut memo);
                 if rate <= 0.0 {
                     continue;
                 }
@@ -591,7 +659,7 @@ impl<'p> Executor<'p> {
                 });
             }
             SteadyState {
-                hottest: hottest(temps),
+                hottest: hottest(temps, &mask),
                 pairs,
             }
         };
@@ -639,11 +707,9 @@ impl<'p> Executor<'p> {
             self.thermal.set_temps(&temps);
         }
         // Workload ends: power returns to idle, remaining heat persists.
-        for (pc, slot) in core_index.iter().enumerate() {
-            if slot.is_some() || self.cfg.stress_idle_cores {
-                self.thermal.set_power(pc, 0.0);
-            }
-        }
+        // Every core not set to 0.0 at the start was tested or stressed,
+        // so zeroing all of them is the reference's selective reset.
+        self.thermal.set_all_powers(0.0);
         self.clock.advance(duration);
         Ok(TestcaseRun {
             testcase: tc.id,

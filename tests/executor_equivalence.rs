@@ -301,3 +301,79 @@ fn zero_duration_run_matches_reference() {
         ],
     );
 }
+
+/// One catalog processor per package size, with a testcase its defect
+/// fires on. Each has a defect on every core, so each tested core is a
+/// retained pair.
+const PACKAGES: [(&str, &str); 6] = [
+    ("COMP12", "fpu/atan/f64/"),
+    ("MIX1", "alu/ui32/"),
+    ("COMP14", "alu/ui32/"),
+    ("COMP16", "fpu/f64/fam0/"),
+    ("COMP18", "vec/matk/"),
+    ("COMP20", "alu/i32/"),
+];
+
+#[test]
+fn every_package_size_and_core_selection_matches_reference() {
+    let suite = Suite::standard();
+    let mut sizes = Vec::new();
+    for (name, prefix) in PACKAGES {
+        let p = catalog::by_name(name).unwrap().processor;
+        let n = p.physical_cores;
+        sizes.push(n);
+        let tc = applicable_tc(&suite, prefix, &p);
+        let all: Vec<u16> = (0..n).collect();
+        let subset: Vec<u16> = (1..n).step_by(3).collect();
+        let shuffled: Vec<u16> = vec![n - 1, 2, 0, n / 2, 1];
+        let repeated: Vec<u16> = vec![3, n - 2, 3, 0];
+        let configs = [
+            ("idle neighbours", ExecConfig::default()),
+            (
+                "stressed neighbours",
+                ExecConfig {
+                    stress_idle_cores: true,
+                    ..ExecConfig::default()
+                },
+            ),
+            (
+                "held",
+                ExecConfig {
+                    hold_temp_c: Some(80.0),
+                    ..ExecConfig::default()
+                },
+            ),
+        ];
+        let mut errors = 0;
+        for (selection, cores) in [
+            ("all cores", &all),
+            ("subset", &subset),
+            ("out of order", &shuffled),
+            ("repeated core", &repeated),
+        ] {
+            // Every tested core draws the same power, so only remaining
+            // heat from a one-core leg makes one of them the hottest:
+            // first the first-listed core, later the last-listed one.
+            let first = [cores[0]];
+            let last = [cores[cores.len() - 1]];
+            for (config, cfg) in configs {
+                let runs = assert_equivalent(
+                    &format!("{name} {selection} {config}"),
+                    &p,
+                    &suite,
+                    cfg,
+                    31,
+                    &[
+                        (tc, &first, Duration::from_secs(20)),
+                        (tc, cores, Duration::from_millis(2500)),
+                        (tc, &last, Duration::from_secs(20)),
+                        (tc, cores, Duration::from_secs(45)),
+                    ],
+                );
+                errors += runs.iter().map(|r| r.error_count).sum::<u64>();
+            }
+        }
+        assert!(errors > 0, "{name}: no leg drew an event");
+    }
+    assert_eq!(sizes, [8, 16, 24, 32, 48, 64], "one package per core count");
+}

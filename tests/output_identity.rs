@@ -1,8 +1,13 @@
-//! Output identity for Tables 1–2: `repro`'s stdout for each run below
-//! must hash to the FNV-1a digest recorded on the commit before fleet
+//! Output identity for Tables 1–2 and the quick conformance gate:
+//! `repro`'s stdout for each run below must hash to the recorded FNV-1a
+//! digest. Refactors must not move a byte; a failure names every run
+//! whose output moved.
+//!
+//! The Tables 1–2 digests were recorded on the commit before fleet
 //! screening shared one walk per suite and evaluated the trigger curve
-//! once per testcase. Those refactors must not move a byte, and neither
-//! may later ones; a failure names every run whose output moved.
+//! once per testcase. The `conform --quick` digest was recorded once its
+//! `checkpoint_transparency` line printed a fixed item count: a work item
+//! that finishes after the simulated kill records nothing.
 //!
 //! After a deliberate output change, re-record a digest by running the
 //! listed command and hashing its stdout with [`fnv1a`].
@@ -12,7 +17,10 @@ use std::process::Command;
 const CHAOS: &str = "offline=0.05,preempt=0.10,seed=7";
 
 /// (arguments, FNV-1a of stdout).
-const RUNS: [(&[&str], u64); 5] = [
+type Run = (&'static [&'static str], u64);
+
+/// Tables 1–2.
+const TABLE_RUNS: [Run; 5] = [
     (
         &["table1", "table2", "--quick", "--threads", "1"],
         0xe583_5d51_59cf_c7b8,
@@ -35,6 +43,19 @@ const RUNS: [(&[&str], u64); 5] = [
     ),
 ];
 
+/// The quick conformance gate, which also runs the Farron eval, the
+/// metamorphic invariants and the differential softcore oracle.
+const CONFORM_RUNS: [Run; 2] = [
+    (
+        &["conform", "--quick", "--threads", "1"],
+        0x6b50_e504_013a_7cde,
+    ),
+    (
+        &["conform", "--quick", "--threads", "2"],
+        0x6b50_e504_013a_7cde,
+    ),
+];
+
 /// 64-bit FNV-1a, with `sdc_model::rng`'s offset basis and prime.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -51,9 +72,10 @@ fn fnv1a_matches_the_reference_vectors() {
     assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
 }
 
-#[test]
-fn tables_1_and_2_print_the_recorded_bytes() {
-    let moved: Vec<String> = RUNS
+/// Runs each of `runs` and asserts none moved, naming every one that
+/// did.
+fn assert_recorded(runs: &[Run]) {
+    let moved: Vec<String> = runs
         .iter()
         .filter_map(|&(args, want)| {
             let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -73,4 +95,14 @@ fn tables_1_and_2_print_the_recorded_bytes() {
         })
         .collect();
     assert!(moved.is_empty(), "output moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn tables_1_and_2_print_the_recorded_bytes() {
+    assert_recorded(&TABLE_RUNS);
+}
+
+#[test]
+fn conform_quick_prints_the_recorded_bytes() {
+    assert_recorded(&CONFORM_RUNS);
 }
