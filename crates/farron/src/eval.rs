@@ -741,4 +741,95 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// A snapshot exactly as [`evaluate_resumable`] writes it: the first
+    /// two rows of [`tiny_cfg`] at one thread under [`storm`], killed
+    /// after its second row. Both rows lost windows.
+    const EVAL_SNAPSHOT: &str = concat!(
+        r#"{"version":1,"fingerprint":{"seed":909,"total_cpus":1,"#,
+        r#""plan":"offline=0.05,crash=0.03,preempt=0.1,read_error=0.05,timeout=0.02,seed=21"},"#,
+        r#""items":[{"name":"MIX1","known_errors":30,"farron_coverage":0.8666666666666667,"#,
+        r#""baseline_coverage":0.8,"farron_round_hours":1.00125,"baseline_round_hours":10.55,"#,
+        r#""farron_test_overhead":0.0004635416666666667,"#,
+        r#""farron_control_overhead":0.028888888888888888,"#,
+        r#""baseline_test_overhead":0.004884259259259259,"backoff_secs_per_hour":104.0,"#,
+        r#""protected_sdc_events":0,"att_items":1266,"att_completed":1264,"att_lost":2,"#,
+        r#""att_retries":467,"att_faults":[169,63,147,64,26],"#,
+        r#""att_backoff_secs":25575.5946195543},"#,
+        r#"{"name":"SIMD1","known_errors":2,"farron_coverage":1.0,"baseline_coverage":1.0,"#,
+        r#""farron_round_hours":0.4295833333333333,"baseline_round_hours":10.55,"#,
+        r#""farron_test_overhead":0.00019888117283950617,"farron_control_overhead":0.0,"#,
+        r#""baseline_test_overhead":0.004884259259259259,"backoff_secs_per_hour":0.0,"#,
+        r#""protected_sdc_events":13,"att_items":1266,"att_completed":1265,"att_lost":1,"#,
+        r#""att_retries":467,"att_faults":[171,49,158,70,20],"#,
+        r#""att_backoff_secs":28990.591814202468}]}"#,
+    );
+
+    #[test]
+    fn eval_snapshot_loads_and_rewrites_identically() {
+        let dir = std::env::temp_dir().join("sdc-eval-ck-pinned");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ck.json");
+        std::fs::write(&path, EVAL_SNAPSHOT).unwrap();
+        let fingerprint = eval_fingerprint(&tiny_cfg(), &storm());
+        let ck = Checkpoint::<EvalRowRecord>::load(&path, &fingerprint).unwrap();
+        let rows: Vec<EvalRow> = ck.items.iter().map(|r| r.to_row().unwrap()).collect();
+        assert_eq!(
+            rows,
+            [
+                EvalRow {
+                    name: "MIX1",
+                    known_errors: 30,
+                    farron_coverage: 0.8666666666666667,
+                    baseline_coverage: 0.8,
+                    farron_round_hours: 1.00125,
+                    baseline_round_hours: 10.55,
+                    farron_test_overhead: 0.0004635416666666667,
+                    farron_control_overhead: 0.028888888888888888,
+                    baseline_test_overhead: 0.004884259259259259,
+                    backoff_secs_per_hour: 104.0,
+                    protected_sdc_events: 0,
+                },
+                EvalRow {
+                    name: "SIMD1",
+                    known_errors: 2,
+                    farron_coverage: 1.0,
+                    baseline_coverage: 1.0,
+                    farron_round_hours: 0.4295833333333333,
+                    baseline_round_hours: 10.55,
+                    farron_test_overhead: 0.00019888117283950617,
+                    farron_control_overhead: 0.0,
+                    baseline_test_overhead: 0.004884259259259259,
+                    backoff_secs_per_hour: 0.0,
+                    protected_sdc_events: 13,
+                },
+            ]
+        );
+        let attrition: Vec<AttritionStats> = ck.items.iter().map(|r| r.attrition()).collect();
+        assert_eq!(
+            attrition,
+            [
+                AttritionStats {
+                    items: 1266,
+                    completed: 1264,
+                    lost: 2,
+                    retries: 467,
+                    faults_by_kind: [169, 63, 147, 64, 26],
+                    backoff_secs: 25575.5946195543,
+                },
+                AttritionStats {
+                    items: 1266,
+                    completed: 1265,
+                    lost: 1,
+                    retries: 467,
+                    faults_by_kind: [171, 49, 158, 70, 20],
+                    backoff_secs: 28990.591814202468,
+                },
+            ]
+        );
+        // Same field names, same order, same number formatting.
+        CheckpointStore::new(&path, 1).write(&ck).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), EVAL_SNAPSHOT);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -30,14 +30,6 @@ pub enum OpFault {
     Timeout,
 }
 
-serde::impl_json_unit_enum!(OpFault {
-    MachineOffline,
-    RunnerCrash,
-    Preempted,
-    ProfileRead,
-    Timeout,
-});
-
 impl OpFault {
     /// Every fault kind, in [`OpFault::index`] order.
     pub const ALL: [OpFault; 5] = [
@@ -98,15 +90,6 @@ pub struct FaultPlan {
     /// P(wall-clock timeout) per attempt.
     pub timeout: f64,
 }
-
-serde::impl_json_struct!(FaultPlan {
-    seed,
-    offline,
-    crash,
-    preempt,
-    read_error,
-    timeout,
-});
 
 impl Default for FaultPlan {
     fn default() -> Self {
@@ -408,13 +391,5 @@ mod tests {
         for (i, f) in OpFault::ALL.iter().enumerate() {
             assert_eq!(f.index(), i);
         }
-    }
-
-    #[test]
-    fn plan_serializes() {
-        let plan = storm();
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -154,8 +154,6 @@ impl fmt::Display for Duration {
     }
 }
 
-serde::impl_json_struct!(Duration { micros });
-
 /// A monotonically advancing virtual clock.
 #[derive(Debug, Clone, Default)]
 pub struct VirtualClock {

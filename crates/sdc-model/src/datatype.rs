@@ -130,20 +130,6 @@ impl fmt::Display for DataType {
     }
 }
 
-serde::impl_json_unit_enum!(DataType {
-    I16,
-    I32,
-    U32,
-    F32,
-    F64,
-    F64X,
-    Bit,
-    Byte,
-    Bin16,
-    Bin32,
-    Bin64,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

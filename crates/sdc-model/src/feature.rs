@@ -92,11 +92,6 @@ impl fmt::Display for SdcType {
     }
 }
 
-serde::impl_json_unit_enum!(SdcType {
-    Computation,
-    Consistency
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -79,16 +79,6 @@ impl fmt::Display for SettingId {
     }
 }
 
-serde::impl_json_newtype!(CpuId(u64));
-serde::impl_json_newtype!(CoreId(u16));
-serde::impl_json_newtype!(TestcaseId(u32));
-serde::impl_json_newtype!(ArchId(u8));
-serde::impl_json_struct!(SettingId {
-    cpu,
-    core,
-    testcase
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

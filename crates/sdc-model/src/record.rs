@@ -99,20 +99,6 @@ impl SdcRecord {
     }
 }
 
-serde::impl_json_unit_enum!(FlipDirection {
-    ZeroToOne,
-    OneToZero
-});
-serde::impl_json_struct!(SdcRecord {
-    setting,
-    kind,
-    datatype,
-    expected,
-    actual,
-    temp_c,
-    at,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,13 +151,5 @@ mod tests {
         let r = record(DataType::F64, e.bits, e.bits ^ 1);
         let loss = r.rel_precision_loss().unwrap();
         assert!(loss > 0.0 && loss < 1e-15);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let r = record(DataType::F32, 0x3f80_0000, 0x3f80_0001);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: SdcRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 }

@@ -338,18 +338,6 @@ impl Machine {
         }
     }
 
-    /// Clears the run products (events, cycles, energy, usage) while
-    /// keeping memory contents and loaded programs; cores restart.
-    pub fn reset_run_state(&mut self) {
-        for c in &mut self.cores {
-            c.restart();
-        }
-        self.events.clear();
-        self.usage.reset();
-        self.cycles.iter_mut().for_each(|c| *c = 0);
-        self.energy.iter_mut().for_each(|e| *e = 0.0);
-    }
-
     /// Cold restart: zeroed memory, fresh caches and stats, zeroed
     /// registers, cleared run products — indistinguishable from a newly
     /// constructed machine except that loaded programs (and their decoded
@@ -486,23 +474,6 @@ mod tests {
         assert!(m.energy[0] > 0.0);
         assert!(m.cycles[0] >= InstClass::FloatAtan.cycles());
         assert_eq!(m.cycles[1], 0, "idle core consumes nothing");
-    }
-
-    #[test]
-    fn reset_run_state_clears_products() {
-        let mut m = Machine::new(1, 4096);
-        let mut b = ProgramBuilder::new();
-        b.mov_imm(0, 7);
-        m.load(0, b.build());
-        let mut rng = DetRng::new(6);
-        m.run(&mut NoFaults, &mut rng, 100);
-        m.reset_run_state();
-        assert_eq!(m.cycles[0], 0);
-        assert_eq!(m.usage.core_total(0), 0);
-        assert!(m.events.is_empty());
-        // And it can run again.
-        let out = m.run(&mut NoFaults, &mut rng, 100);
-        assert!(out.completed);
     }
 
     #[test]

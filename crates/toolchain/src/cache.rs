@@ -259,11 +259,11 @@ mod tests {
     /// reservoir.
     #[test]
     fn cached_samples_match_the_live_profiler() {
-        use crate::profile::Profiler;
+        use crate::executor::{unit_run, UnitRun};
         use crate::testcase::{WorkloadKind, WorkloadSpec};
-        use crate::{builders, Suite};
+        use crate::Suite;
         use sdc_model::DataType;
-        use softcore::{InstClass, Machine};
+        use softcore::InstClass;
 
         let suite = Suite::standard();
         let first = |pred: &dyn Fn(&Testcase) -> bool| {
@@ -284,20 +284,13 @@ mod tests {
         for tc in picks {
             for cores in [8, 24, 64] {
                 let key = ProfileKey::unit(tc.id, cores);
-                let mut rng = key.stream();
-                let built = builders::build(tc, cores, UNIT_ITERS, rng.next_u64());
-                let mut machine = Machine::new(cores, built.mem_bytes);
-                for &(addr, val) in &built.mem_init {
-                    machine.mem.raw_write_u64(addr, val);
-                }
-                for (c, p) in built.programs.into_iter().enumerate() {
-                    if let Some(p) = p {
-                        machine.load(c, p);
-                    }
-                }
-                let mut live = Profiler::new(rng.fork(0x9821));
-                let mut interleave = rng.fork(0x77aa);
-                let out = machine.run(&mut live, &mut interleave, MAX_UNIT_STEPS);
+                let UnitRun {
+                    mut machine,
+                    profiler: mut live,
+                    mut interleave,
+                    ..
+                } = unit_run(tc, key);
+                let out = machine.run(&mut live, &mut interleave, key.max_unit_steps);
                 assert!(out.completed);
 
                 let unit = cache.profile(tc, cores);

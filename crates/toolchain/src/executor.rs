@@ -1123,15 +1123,27 @@ impl<'p> Executor<'p> {
     }
 }
 
-/// Runs one unit of `tc` in the VM under a profiler and condenses the
-/// result into a [`CachedUnitProfile`]: the profiler's per-core counts
-/// become per-core site rates, and its bit samples move into a sparse
-/// sample table. All randomness comes from
-/// [`ProfileKey::stream`], making the result a pure function of
-/// `(tc, key)`.
-pub(crate) fn compute_unit_profile(tc: &Testcase, key: ProfileKey) -> CachedUnitProfile {
+/// The unit run of a testcase, set up and not yet started.
+pub struct UnitRun {
+    /// The machine, with the testcase's memory image and programs loaded.
+    pub machine: Machine,
+    /// The profiler hook, on its fork of [`ProfileKey::stream`].
+    pub profiler: Profiler,
+    /// The scheduling stream, on its fork of [`ProfileKey::stream`].
+    pub interleave: DetRng,
+    /// Cores that received a program.
+    pub loaded: usize,
+}
+
+/// Sets up the unit run of `tc` for `key`, `tc`'s profile key: the
+/// testcase built from the key's stream, loaded into a fresh machine,
+/// with the profiler and interleave streams forked from the same
+/// stream. Running `machine` for `key.max_unit_steps` under `profiler`
+/// and `interleave` replays exactly the traffic a [`ProfileCache`]
+/// profiles.
+pub fn unit_run(tc: &Testcase, key: ProfileKey) -> UnitRun {
     let mut rng = key.stream();
-    let built = builders::build(tc, key.cores, UNIT_ITERS, rng.next_u64());
+    let built = builders::build(tc, key.cores, key.unit_iters, rng.next_u64());
     let mut machine = Machine::new(key.cores, built.mem_bytes);
     for &(addr, val) in &built.mem_init {
         machine.mem.raw_write_u64(addr, val);
@@ -1143,9 +1155,28 @@ pub(crate) fn compute_unit_profile(tc: &Testcase, key: ProfileKey) -> CachedUnit
             loaded += 1;
         }
     }
-    let mut profiler = Profiler::new(rng.fork(0x9821));
-    let mut interleave = rng.fork(0x77aa);
-    let out = machine.run(&mut profiler, &mut interleave, MAX_UNIT_STEPS);
+    UnitRun {
+        machine,
+        profiler: Profiler::new(rng.fork(0x9821)),
+        interleave: rng.fork(0x77aa),
+        loaded,
+    }
+}
+
+/// Runs one unit of `tc` in the VM under a profiler and condenses the
+/// result into a [`CachedUnitProfile`]: the profiler's per-core counts
+/// become per-core site rates, and its bit samples move into a sparse
+/// sample table. All randomness comes from
+/// [`ProfileKey::stream`], making the result a pure function of
+/// `(tc, key)`.
+pub(crate) fn compute_unit_profile(tc: &Testcase, key: ProfileKey) -> CachedUnitProfile {
+    let UnitRun {
+        mut machine,
+        mut profiler,
+        mut interleave,
+        loaded,
+    } = unit_run(tc, key);
+    let out = machine.run(&mut profiler, &mut interleave, key.max_unit_steps);
     assert!(
         out.completed,
         "unit run of {} exceeded the step budget",

@@ -37,7 +37,7 @@ pub mod testcase;
 
 pub use cache::{CacheStats, ProfileCache, ProfileKey};
 pub use error::ExecError;
-pub use executor::{ExecConfig, Executor, TestcaseRun, CLOCK_HZ};
+pub use executor::{unit_run, ExecConfig, Executor, TestcaseRun, UnitRun, CLOCK_HZ};
 pub use framework::{run_plan, run_plan_cached, PlanEntry, TestPlan, TestReport};
 pub use suite::Suite;
 pub use testcase::{BuiltTestcase, CheckKind, Invariant, OutputRegion, Testcase, WorkloadKind};

@@ -111,23 +111,6 @@ pub enum WorkloadSpec {
     },
 }
 
-serde::impl_json_enum_struct!(WorkloadSpec {
-    IntLoop { dt, family, unroll },
-    BigInt { limbs },
-    StringScan { words },
-    Crc { words },
-    Hash { words },
-    FloatLoop { f32_prec, family, unroll },
-    AtanLoop { f32_prec },
-    X87Loop { atan },
-    MatKernel { lane, rows },
-    Axpy { lane, blocks },
-    VecParity { blocks },
-    LockCounter { rounds, dilution },
-    ProducerConsumer { words, dilution },
-    TxCounter { rounds, dilution },
-});
-
 /// One toolchain testcase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Testcase {
@@ -236,13 +219,5 @@ mod tests {
         assert!(tc.is_consistency());
         let tc2 = Testcase { threads: 1, ..tc };
         assert!(!tc2.is_consistency());
-    }
-
-    #[test]
-    fn specs_serialize() {
-        let spec = WorkloadSpec::MatKernel { lane: 0, rows: 4 };
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: WorkloadSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
     }
 }

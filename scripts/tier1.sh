@@ -50,8 +50,8 @@ cargo bench -q -p bench --bench campaign_hotpath -- --quick
 echo "== tier-1: benchmark builds and passes its tests (perfbench) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== tier-1: clippy (linted crates, tests and benches too) =="
-cargo clippy -q --all-targets -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis -p sdc-repro -p conformance -p silicon -p bench -p thermal -p softfloat -p ftol -- -D warnings -D clippy::perf
+echo "== tier-1: clippy (every workspace crate, tests and benches too) =="
+cargo clippy -q --all-targets --workspace -- -D warnings -D clippy::perf
 
 # perfbench/ is its own workspace and reads the toolchain's public API.
 echo "== tier-1: clippy (perfbench) =="

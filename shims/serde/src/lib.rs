@@ -5,15 +5,14 @@
 //! JSON directly (there is exactly one data format in this repo). The
 //! re-exported derive macros from the local `serde_derive` shim expand
 //! to nothing and no workspace type uses them; they stay re-exported so
-//! the crate graph (and `perfbench/Cargo.lock`) is unchanged. Types
-//! whose JSON round-trip is exercised implement the traits explicitly
-//! via the `impl_json_*` macros below, which mirror serde's encoding
+//! the crate graph (and `perfbench/Cargo.lock`) is unchanged. Only the
+//! types that persist across processes (campaign and Farron-eval
+//! checkpoints, `GOLDEN.json`) implement the traits, explicitly via the
+//! two `impl_json_*` macros below, which mirror serde's encoding
 //! conventions:
 //!
 //! - structs            -> `{"field":value,...}`
-//! - newtype structs    -> the inner value
 //! - unit enum variants -> `"Variant"`
-//! - struct variants    -> `{"Variant":{"field":value,...}}` (externally tagged)
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -212,13 +211,6 @@ pub mod json {
             std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("bad number"))
         }
 
-        /// Parses an unsigned integer.
-        pub fn parse_u128(&mut self) -> Result<u128, Error> {
-            let tok = self.number_token()?;
-            tok.parse()
-                .map_err(|_| self.err(format!("bad integer '{tok}'")))
-        }
-
         /// Parses a signed integer.
         pub fn parse_i128(&mut self) -> Result<i128, Error> {
             let tok = self.number_token()?;
@@ -309,18 +301,6 @@ macro_rules! impl_json_int {
 
 impl_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, i128);
 
-impl Serialize for u128 {
-    fn serialize_json(&self, out: &mut String) {
-        out.push_str(&self.to_string());
-    }
-}
-
-impl Deserialize for u128 {
-    fn deserialize_json(p: &mut json::Parser<'_>) -> Result<Self, json::Error> {
-        p.parse_u128()
-    }
-}
-
 impl Serialize for f64 {
     fn serialize_json(&self, out: &mut String) {
         // `{:?}` emits the shortest representation that round-trips.
@@ -338,25 +318,6 @@ impl Deserialize for f64 {
             return Ok(f64::NAN);
         }
         p.parse_f64()
-    }
-}
-
-impl Serialize for f32 {
-    fn serialize_json(&self, out: &mut String) {
-        if self.is_finite() {
-            out.push_str(&format!("{self:?}"));
-        } else {
-            out.push_str("null");
-        }
-    }
-}
-
-impl Deserialize for f32 {
-    fn deserialize_json(p: &mut json::Parser<'_>) -> Result<Self, json::Error> {
-        if p.consume_null() {
-            return Ok(f32::NAN);
-        }
-        Ok(p.parse_f64()? as f32)
     }
 }
 
@@ -506,26 +467,6 @@ macro_rules! impl_json_struct {
     };
 }
 
-/// Implements the traits for a single-field tuple struct, encoded as
-/// the inner value (serde's newtype convention).
-#[macro_export]
-macro_rules! impl_json_newtype {
-    ($ty:ident($inner:ty)) => {
-        impl $crate::Serialize for $ty {
-            fn serialize_json(&self, out: &mut String) {
-                $crate::Serialize::serialize_json(&self.0, out);
-            }
-        }
-        impl $crate::Deserialize for $ty {
-            fn deserialize_json(
-                p: &mut $crate::json::Parser<'_>,
-            ) -> Result<Self, $crate::json::Error> {
-                Ok($ty(<$inner as $crate::Deserialize>::deserialize_json(p)?))
-            }
-        }
-    };
-}
-
 /// Implements the traits for a field-less enum, encoded as the variant
 /// name string.
 #[macro_export]
@@ -553,82 +494,6 @@ macro_rules! impl_json_unit_enum {
     };
 }
 
-/// Implements the traits for an enum whose variants all carry named
-/// fields, using serde's externally tagged form:
-/// `{"Variant":{"field":value,...}}`.
-#[macro_export]
-macro_rules! impl_json_enum_struct {
-    ($ty:ident { $($var:ident { $($field:ident),* $(,)? }),+ $(,)? }) => {
-        impl $crate::Serialize for $ty {
-            fn serialize_json(&self, out: &mut String) {
-                match self {
-                    $($ty::$var { $($field),* } => {
-                        out.push_str("{\"");
-                        out.push_str(stringify!($var));
-                        out.push_str("\":{");
-                        let mut first = true;
-                        $(
-                            if !first { out.push(','); }
-                            first = false;
-                            let _ = first;
-                            out.push('"');
-                            out.push_str(stringify!($field));
-                            out.push_str("\":");
-                            $crate::Serialize::serialize_json($field, out);
-                        )*
-                        out.push_str("}}");
-                    })+
-                }
-            }
-        }
-        impl $crate::Deserialize for $ty {
-            fn deserialize_json(
-                p: &mut $crate::json::Parser<'_>,
-            ) -> Result<Self, $crate::json::Error> {
-                p.expect('{')?;
-                let tag = p.parse_string()?;
-                p.expect(':')?;
-                let value = match tag.as_str() {
-                    $(stringify!($var) => {
-                        $(let mut $field = None;)*
-                        p.expect('{')?;
-                        if !p.peek_is('}') {
-                            loop {
-                                let key = p.parse_string()?;
-                                p.expect(':')?;
-                                match key.as_str() {
-                                    $(stringify!($field) => {
-                                        $field = Some(
-                                            $crate::Deserialize::deserialize_json(p)?,
-                                        );
-                                    })*
-                                    other => {
-                                        return Err(p.err(format!(
-                                            "unknown field '{other}'"
-                                        )));
-                                    }
-                                }
-                                if !p.consume_comma()? { break; }
-                            }
-                        }
-                        p.expect('}')?;
-                        $ty::$var {
-                            $($field: $field.ok_or_else(|| {
-                                $crate::json::Error::new(concat!(
-                                    "missing field '", stringify!($field), "'"
-                                ))
-                            })?,)*
-                        }
-                    })+
-                    other => return Err(p.err(format!("unknown variant '{other}'"))),
-                };
-                p.expect('}')?;
-                Ok(value)
-            }
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,28 +507,12 @@ mod tests {
     impl_json_struct!(Point { x, y });
 
     #[derive(Debug, PartialEq)]
-    struct Wrapper(u64);
-
-    impl_json_newtype!(Wrapper(u64));
-
-    #[derive(Debug, PartialEq)]
     enum Color {
         Red,
         Green,
     }
 
     impl_json_unit_enum!(Color { Red, Green });
-
-    #[derive(Debug, PartialEq)]
-    enum Shape {
-        Circle { r: f64 },
-        Rect { w: u32, h: u32 },
-    }
-
-    impl_json_enum_struct!(Shape {
-        Circle { r },
-        Rect { w, h },
-    });
 
     fn to_string<T: Serialize>(v: &T) -> String {
         let mut s = String::new();
@@ -687,26 +536,9 @@ mod tests {
     }
 
     #[test]
-    fn newtype_is_transparent() {
-        let w = Wrapper(99);
-        assert_eq!(to_string(&w), "99");
-        assert_eq!(from_str::<Wrapper>("99"), w);
-    }
-
-    #[test]
     fn unit_enum_is_a_string() {
         assert_eq!(to_string(&Color::Green), r#""Green""#);
         assert_eq!(from_str::<Color>(r#""Red""#), Color::Red);
-    }
-
-    #[test]
-    fn struct_variant_is_externally_tagged() {
-        let s = Shape::Rect { w: 2, h: 3 };
-        let text = to_string(&s);
-        assert_eq!(text, r#"{"Rect":{"w":2,"h":3}}"#);
-        assert_eq!(from_str::<Shape>(&text), s);
-        let c = Shape::Circle { r: 1.5 };
-        assert_eq!(from_str::<Shape>(&to_string(&c)), c);
     }
 
     #[test]
@@ -731,11 +563,5 @@ mod tests {
     fn string_escapes_round_trip() {
         let s = "a\"b\\c\nd\u{1f600}".to_string();
         assert_eq!(from_str::<String>(&to_string(&s)), s);
-    }
-
-    #[test]
-    fn u128_full_width() {
-        let v = u128::MAX;
-        assert_eq!(from_str::<u128>(&to_string(&v)), v);
     }
 }

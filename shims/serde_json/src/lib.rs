@@ -1,7 +1,5 @@
-//! Offline drop-in subset of `serde_json`: `to_string`, `to_string_pretty`
-//! (alias of `to_string` — compact output is valid pretty output for the
-//! consumers here), and `from_str`, delegating to the serde shim's
-//! JSON-native traits.
+//! Offline drop-in subset of `serde_json`: `to_string` and `from_str`,
+//! delegating to the serde shim's JSON-native traits.
 
 pub use serde::json::Error;
 
@@ -10,11 +8,6 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
     let mut out = String::new();
     value.serialize_json(&mut out);
     Ok(out)
-}
-
-/// Serializes `value` to JSON. The shim emits the compact form.
-pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    to_string(value)
 }
 
 /// Parses a `T` from a JSON document.

@@ -11,7 +11,6 @@
 
 use conformance::metamorphic::assert_transparent;
 use conformance::metrics::study_config;
-use rand::RngCore as _;
 use sdc_model::{ArchId, CpuId, DataType, DetRng};
 use silicon::{BitPattern, Defect, DefectKind, DefectScope, Injector, Processor, Trigger};
 use softcore::mem::MemStats;
@@ -21,7 +20,7 @@ use softcore::{
     ProgramBuilder, VOpKind,
 };
 use toolchain::profile::Profiler;
-use toolchain::{builders, ProfileKey, Suite};
+use toolchain::{unit_run, ProfileKey, Suite, UnitRun};
 
 /// Everything observable about a finished run, in comparable form.
 #[derive(Debug, PartialEq)]
@@ -787,19 +786,12 @@ fn real_traffic_identical_across_interpreters() {
                 &format!("{} c{cores}", tc.name),
                 &["fast", "reference"],
                 |variant| {
-                    let mut rng = key.stream();
-                    let built = builders::build(tc, cores, key.unit_iters, rng.next_u64());
-                    let mut m = Machine::new(cores, built.mem_bytes);
-                    for &(addr, val) in &built.mem_init {
-                        m.mem.raw_write_u64(addr, val);
-                    }
-                    for (c, p) in built.programs.iter().enumerate() {
-                        if let Some(p) = p {
-                            m.load(c, p.clone());
-                        }
-                    }
-                    let mut profiler = Profiler::new(rng.fork(0x9821));
-                    let mut interleave = rng.fork(0x77aa);
+                    let UnitRun {
+                        machine: mut m,
+                        mut profiler,
+                        mut interleave,
+                        ..
+                    } = unit_run(tc, key);
                     let out = match variant {
                         "fast" => m.run(&mut profiler, &mut interleave, key.max_unit_steps),
                         _ => m.run_reference(&mut profiler, &mut interleave, key.max_unit_steps),
