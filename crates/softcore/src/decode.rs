@@ -235,6 +235,12 @@ impl DecodedProgram {
         self.ops.get(pc)
     }
 
+    /// Whether the op at `pc` is core-local (false past the program end).
+    #[inline]
+    pub(crate) fn is_local(&self, pc: usize) -> bool {
+        self.ops.get(pc).is_some_and(|op| op.local)
+    }
+
     /// The fused pair starting at `pc`, if the decoder marked one.
     #[inline]
     pub(crate) fn fused_at(&self, pc: usize) -> Option<&FusedOp> {

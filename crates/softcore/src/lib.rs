@@ -9,9 +9,9 @@
 //!   80-bit x87 extended precision (via the [`softfloat`] crate), 256-bit
 //!   vector lanes, CRC and hash mixing instructions — each tagged with an
 //!   [`InstClass`] that maps onto the paper's five vulnerable features;
-//! * per-core L1 caches kept coherent with a snooping MESI protocol, whose
-//!   invalidation messages a fault hook may *drop* (the cache-coherence
-//!   defects of processors CNST1/MIX-class);
+//! * per-core L1 caches kept coherent by MESI over a sharer directory,
+//!   whose invalidation messages a fault hook may *drop* (the
+//!   cache-coherence defects of processors CNST1/MIX-class);
 //! * hardware transactional memory with read/write-set conflict detection,
 //!   whose commit decision a fault hook may override (CNST2's defective
 //!   transactional region management);
@@ -39,6 +39,6 @@ pub use hooks::{FaultHook, NoFaults, RetireInfo};
 pub use inst::{
     FOpKind, Inst, InstClass, IntOpKind, LaneType, Precision, VOpKind, XOpKind, NUM_SITES,
 };
-pub use machine::{CorruptionEvent, Machine, RunOutcome};
+pub use machine::{CorruptionEvent, Machine, RunOutcome, VmWork};
 pub use mem::MemSystem;
 pub use program::{Program, ProgramBuilder};

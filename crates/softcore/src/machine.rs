@@ -40,6 +40,21 @@ pub struct RunOutcome {
     pub cycles: u64,
 }
 
+/// Work of the contended phase of [`Machine::run`], counted once per
+/// slow-path exit (a pick past its slot's banked run), never per draw.
+/// [`Machine::run_reference`] counts nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VmWork {
+    /// Picks that left the draw loop. Each one either banked a local run
+    /// or dispatched one op, so `exits == banked_runs + dispatched`.
+    pub exits: u64,
+    /// Exits that stepped one op through the interpreter: a memory op,
+    /// a retire through the hook, or a halt.
+    pub dispatched: u64,
+    /// Exits that measured a core-local run by a dry walk and banked it.
+    pub banked_runs: u64,
+}
+
 /// Longest local run one dry walk measures. A longer run (an unbounded
 /// `Pause` loop, say) is banked in pieces, so a walk never outruns the
 /// picks that consume it by much.
@@ -61,6 +76,8 @@ pub struct Machine {
     pub cycles: Vec<u64>,
     /// Energy consumed per core (feeds the thermal model).
     pub energy: Vec<f64>,
+    /// Contended-phase work since construction or the last restart.
+    pub work: VmWork,
 }
 
 impl Machine {
@@ -80,6 +97,7 @@ impl Machine {
             events: Vec::new(),
             cycles: vec![0; cores],
             energy: vec![0.0; cores],
+            work: VmWork::default(),
         }
     }
 
@@ -208,6 +226,9 @@ impl Machine {
     /// pick past its slot's run (`countdown < accepted`) or the budget.
     /// Every attempt is consumed in order, so a halt needs no restore of
     /// the stream. The slot arrays `swap_remove` together with `live`.
+    ///
+    /// At a pick whose op is not core-local the walk would measure 0, so
+    /// the op is dispatched without copying the loop stack for a walk.
     fn run_contended<H: FaultHook + ?Sized>(
         &mut self,
         hook: &mut H,
@@ -240,6 +261,7 @@ impl Machine {
                 }
             };
             steps += 1;
+            self.work.exits += 1;
             let core_idx = live[slot];
             let banked = std::mem::take(&mut run[slot]);
             if banked > 0 {
@@ -247,13 +269,17 @@ impl Machine {
             }
             let prog = self.decoded[core_idx].as_ref().expect("loaded");
             let core = &mut self.cores[core_idx];
-            loops.clone_from(&core.loop_stack);
-            let local = prog.local_run(core.pc, &mut loops, MAX_LOCAL_RUN);
-            if local > 0 {
-                run[slot] = local;
-                countdown[slot] = local - 1;
-                continue;
+            if prog.is_local(core.pc) {
+                loops.clone_from(&core.loop_stack);
+                let local = prog.local_run(core.pc, &mut loops, MAX_LOCAL_RUN);
+                if local > 0 {
+                    self.work.banked_runs += 1;
+                    run[slot] = local;
+                    countdown[slot] = local - 1;
+                    continue;
+                }
             }
+            self.work.dispatched += 1;
             let cost =
                 core.step_decoded(prog, &mut self.mem, hook, &mut self.usage, &mut self.events);
             self.cycles[core_idx] += cost.cycles;
@@ -352,6 +378,7 @@ impl Machine {
         self.events.clear();
         self.cycles.iter_mut().for_each(|c| *c = 0);
         self.energy.iter_mut().for_each(|e| *e = 0.0);
+        self.work = VmWork::default();
     }
 }
 

@@ -1,4 +1,5 @@
-//! The shared-memory system: per-core L1 caches with snooping MESI.
+//! The shared-memory system: per-core L1 caches kept coherent by MESI
+//! over a sharer directory.
 //!
 //! Cache coherency is one of the paper's five vulnerable features, and the
 //! CNST1 case study ("a client thread packed data and its checksum into a
@@ -9,6 +10,9 @@
 
 use crate::hooks::FaultHook;
 
+#[cfg(test)]
+mod snoop_reference;
+
 /// Bytes per cache line.
 pub const LINE_BYTES: u64 = 64;
 /// 64-bit words per cache line.
@@ -16,51 +20,33 @@ pub const LINE_WORDS: usize = 8;
 /// Direct-mapped sets per L1 cache (16 KiB per core).
 pub const L1_SETS: usize = 256;
 
-/// MESI line states.
+/// MESI line states, stored in the low bits of a line's tag word (tags
+/// are line-aligned, so those bits are free).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u64)]
 enum LineState {
-    Modified,
-    Exclusive,
-    Shared,
+    Modified = 1,
+    Exclusive = 2,
+    Shared = 3,
 }
 
-/// One resident cache line.
-#[derive(Debug, Clone)]
-struct CacheLine {
-    /// Line-aligned byte address.
+/// The state bits of a line's tag word.
+const STATE_MASK: u64 = LINE_BYTES - 1;
+/// The slot word of an empty slot.
+const EMPTY: u32 = 0;
+/// Words of one core's resident-set bitmap.
+const SET_WORDS: usize = L1_SETS / 64;
+
+fn set_of(tag: u64) -> usize {
+    ((tag / LINE_BYTES) as usize) % L1_SETS
+}
+
+/// One resident L1 line.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    /// Line-aligned byte address, with the [`LineState`] in the low bits.
     tag: u64,
-    state: LineState,
     data: [u64; LINE_WORDS],
-}
-
-/// A direct-mapped L1 cache.
-#[derive(Debug, Clone)]
-struct L1 {
-    lines: Vec<Option<CacheLine>>,
-}
-
-impl L1 {
-    fn new() -> Self {
-        L1 {
-            lines: vec![None; L1_SETS],
-        }
-    }
-
-    fn set_of(tag: u64) -> usize {
-        ((tag / LINE_BYTES) as usize) % L1_SETS
-    }
-
-    fn lookup(&self, tag: u64) -> Option<&CacheLine> {
-        self.lines[Self::set_of(tag)]
-            .as_ref()
-            .filter(|l| l.tag == tag)
-    }
-
-    fn lookup_mut(&mut self, tag: u64) -> Option<&mut CacheLine> {
-        self.lines[Self::set_of(tag)]
-            .as_mut()
-            .filter(|l| l.tag == tag)
-    }
 }
 
 /// Counters describing memory-system behaviour during a run.
@@ -76,13 +62,41 @@ pub struct MemStats {
     pub dropped_invalidations: u64,
     /// Dirty lines written back to memory.
     pub writebacks: u64,
+    /// Other cores' L1s probed by read misses, write upgrades and CASes:
+    /// the holders the sharer directory names.
+    pub snoops: u64,
 }
 
 /// The shared memory plus all per-core caches.
+///
+/// The L1s are direct-mapped. One flat slot array, `L1_SETS` slots per
+/// core, core-major, names each resident line's entry in a pool that
+/// grows with the lines actually cached: a unit run caches a few lines
+/// per core, so a 64-byte line per slot would be mostly idle memory. A
+/// sharer directory keeps, per memory line, one bit per core whose L1
+/// holds the line (in any state, stale copies left by a dropped
+/// invalidation included), so coherence transactions visit only the
+/// holders, in ascending core order, where a snooping bus would probe
+/// every L1. A per-core bitmap of occupied sets lets
+/// [`MemSystem::flush_all`] and [`MemSystem::reset`] visit only resident
+/// lines. Every array starts zeroed (all slots empty, no holders), so a
+/// fresh machine touches only the pages its run uses.
 #[derive(Debug)]
 pub struct MemSystem {
     mem: Vec<u64>,
-    caches: Vec<L1>,
+    cores: usize,
+    /// Per slot: 1 + the index in `lines` of the resident line, or
+    /// [`EMPTY`].
+    slots: Vec<u32>,
+    /// The resident lines; the entries listed in `free` hold none.
+    lines: Vec<Line>,
+    free: Vec<u32>,
+    /// Per core, `SET_WORDS` words: bit `s` set iff set `s` holds a line.
+    resident: Vec<u64>,
+    /// Per memory line, `dir_words` words: bit `c` set iff core `c`'s L1
+    /// holds the line.
+    sharers: Vec<u64>,
+    dir_words: usize,
     /// Behaviour counters.
     pub stats: MemStats,
 }
@@ -96,10 +110,17 @@ impl MemSystem {
     /// Panics if `cores == 0` or `bytes == 0`.
     pub fn new(cores: usize, bytes: u64) -> Self {
         assert!(cores > 0 && bytes > 0, "degenerate memory system");
-        let words = bytes.div_ceil(LINE_BYTES) as usize * LINE_WORDS;
+        let lines = bytes.div_ceil(LINE_BYTES) as usize;
+        let dir_words = cores.div_ceil(64);
         MemSystem {
-            mem: vec![0; words],
-            caches: (0..cores).map(|_| L1::new()).collect(),
+            mem: vec![0; lines * LINE_WORDS],
+            cores,
+            slots: vec![EMPTY; cores * L1_SETS],
+            lines: Vec::new(),
+            free: Vec::new(),
+            resident: vec![0; cores * SET_WORDS],
+            sharers: vec![0; lines * dir_words],
+            dir_words,
             stats: MemStats::default(),
         }
     }
@@ -111,7 +132,7 @@ impl MemSystem {
 
     /// Number of cores (caches).
     pub fn cores(&self) -> usize {
-        self.caches.len()
+        self.cores
     }
 
     fn word_index(&self, addr: u64) -> usize {
@@ -132,13 +153,76 @@ impl MemSystem {
         addr & !(LINE_BYTES - 1)
     }
 
+    /// The slot `tag` maps to in `core`'s L1.
+    #[inline]
+    fn slot(core: usize, tag: u64) -> usize {
+        core * L1_SETS + set_of(tag)
+    }
+
+    /// The line in `slot`, which must hold one.
+    #[inline]
+    fn line(&self, slot: usize) -> &Line {
+        &self.lines[self.slots[slot] as usize - 1]
+    }
+
+    #[inline]
+    fn line_mut(&mut self, slot: usize) -> &mut Line {
+        &mut self.lines[self.slots[slot] as usize - 1]
+    }
+
+    /// The state of `tag` in `slot`, if the slot holds that line.
+    #[inline]
+    fn lookup(&self, slot: usize, tag: u64) -> Option<LineState> {
+        if self.slots[slot] == EMPTY {
+            return None;
+        }
+        let word = self.line(slot).tag;
+        if word & !STATE_MASK != tag {
+            return None;
+        }
+        match word & STATE_MASK {
+            1 => Some(LineState::Modified),
+            2 => Some(LineState::Exclusive),
+            3 => Some(LineState::Shared),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn set_state(&mut self, slot: usize, state: LineState) {
+        let line = self.line_mut(slot);
+        line.tag = line.tag & !STATE_MASK | state as u64;
+    }
+
+    /// Index of `tag`'s first directory word.
+    fn dir_index(&self, tag: u64) -> usize {
+        self.word_index(tag) / LINE_WORDS * self.dir_words
+    }
+
+    /// Writes the line in `slot` back to memory.
+    fn write_back(&mut self, slot: usize) {
+        self.stats.writebacks += 1;
+        let line = *self.line(slot);
+        let base = ((line.tag & !STATE_MASK) / 8) as usize;
+        self.mem[base..base + LINE_WORDS].copy_from_slice(&line.data);
+    }
+
+    /// Empties `core`'s `slot` (which holds a line) without a writeback,
+    /// clearing its directory and resident bits and freeing its entry.
+    fn drop_line(&mut self, core: usize, slot: usize) {
+        let dir = self.dir_index(self.line(slot).tag & !STATE_MASK);
+        self.sharers[dir + core / 64] &= !(1 << (core % 64));
+        let set = slot % L1_SETS;
+        self.resident[core * SET_WORDS + set / 64] &= !(1 << (set % 64));
+        self.free.push(self.slots[slot] - 1);
+        self.slots[slot] = EMPTY;
+    }
+
     /// Resets to the just-constructed state: zeroed memory, empty caches,
     /// zeroed stats. Geometry (size, core count) is unchanged.
     pub fn reset(&mut self) {
-        self.mem.iter_mut().for_each(|w| *w = 0);
-        for cache in &mut self.caches {
-            *cache = L1::new();
-        }
+        self.flush_all();
+        self.mem.fill(0);
         self.stats = MemStats::default();
     }
 
@@ -147,9 +231,10 @@ impl MemSystem {
     pub fn read_u64<H: FaultHook + ?Sized>(&mut self, core: usize, addr: u64, hook: &mut H) -> u64 {
         let tag = Self::line_tag(addr);
         let word = (addr - tag) as usize / 8;
-        if let Some(line) = self.caches[core].lookup(tag) {
+        let slot = Self::slot(core, tag);
+        if self.lookup(slot, tag).is_some() {
             self.stats.hits += 1;
-            return line.data[word];
+            return self.line(slot).data[word];
         }
         self.stats.misses += 1;
         let data = self.fetch_line(core, tag, hook);
@@ -167,31 +252,30 @@ impl MemSystem {
     ) {
         let tag = Self::line_tag(addr);
         let word = (addr - tag) as usize / 8;
+        let slot = Self::slot(core, tag);
         // Fast path: already exclusive or modified.
-        if let Some(line) = self.caches[core].lookup_mut(tag) {
-            match line.state {
-                LineState::Modified => {
-                    self.stats.hits += 1;
-                    line.data[word] = val;
-                    return;
-                }
-                LineState::Exclusive => {
-                    self.stats.hits += 1;
-                    line.state = LineState::Modified;
-                    line.data[word] = val;
-                    return;
-                }
-                LineState::Shared => { /* upgrade below */ }
+        match self.lookup(slot, tag) {
+            Some(LineState::Modified) => {
+                self.stats.hits += 1;
+                self.line_mut(slot).data[word] = val;
+                return;
             }
+            Some(LineState::Exclusive) => {
+                self.stats.hits += 1;
+                self.set_state(slot, LineState::Modified);
+                self.line_mut(slot).data[word] = val;
+                return;
+            }
+            Some(LineState::Shared) | None => { /* upgrade below */ }
         }
         // Need exclusive ownership: invalidate other copies.
         self.invalidate_others(core, tag, hook);
-        if let Some(line) = self.caches[core].lookup_mut(tag) {
+        if self.lookup(slot, tag).is_some() {
             // S → M upgrade: data is already resident (possibly stale if a
             // past invalidation to *this* core was dropped — the defect).
             self.stats.hits += 1;
-            line.state = LineState::Modified;
-            line.data[word] = val;
+            self.set_state(slot, LineState::Modified);
+            self.line_mut(slot).data[word] = val;
             return;
         }
         self.stats.misses += 1;
@@ -199,14 +283,7 @@ impl MemSystem {
         let base = self.word_index(tag);
         data.copy_from_slice(&self.mem[base..base + LINE_WORDS]);
         data[word] = val;
-        self.insert_line(
-            core,
-            CacheLine {
-                tag,
-                state: LineState::Modified,
-                data,
-            },
-        );
+        self.insert_line(core, tag, LineState::Modified, data);
     }
 
     /// Atomic compare-and-swap of the word at `addr`. Returns true (and
@@ -235,15 +312,12 @@ impl MemSystem {
         self.invalidate_others(core, tag, hook);
         // Discard any local (possibly stale) copy and re-read memory;
         // a dirty local copy is written back first so no store is lost.
-        let set = L1::set_of(tag);
-        if let Some(line) = self.caches[core].lookup(tag) {
-            if line.state == LineState::Modified {
-                let data = line.data;
-                self.stats.writebacks += 1;
-                let base = self.word_index(tag);
-                self.mem[base..base + LINE_WORDS].copy_from_slice(&data);
+        let slot = Self::slot(core, tag);
+        if let Some(state) = self.lookup(slot, tag) {
+            if state == LineState::Modified {
+                self.write_back(slot);
             }
-            self.caches[core].lines[set] = None;
+            self.drop_line(core, slot);
         }
         self.stats.misses += 1;
         let base = self.word_index(tag);
@@ -253,15 +327,34 @@ impl MemSystem {
         if success {
             data[word] = new;
         }
-        self.insert_line(
-            core,
-            CacheLine {
-                tag,
-                state: LineState::Modified,
-                data,
-            },
-        );
+        self.insert_line(core, tag, LineState::Modified, data);
         success
+    }
+
+    /// Calls `visit(self, other)` for every core but `core` whose L1
+    /// holds `tag`, in ascending core order. `visit` may drop the line
+    /// from `other`'s L1 (and so clear its directory bit) but must not
+    /// add holders.
+    #[inline]
+    fn for_each_other_holder(
+        &mut self,
+        core: usize,
+        tag: u64,
+        mut visit: impl FnMut(&mut Self, usize),
+    ) {
+        let dir = self.dir_index(tag);
+        for w in 0..self.dir_words {
+            let mut holders = self.sharers[dir + w];
+            if w == core / 64 {
+                holders &= !(1 << (core % 64));
+            }
+            while holders != 0 {
+                let other = w * 64 + holders.trailing_zeros() as usize;
+                holders &= holders - 1;
+                self.stats.snoops += 1;
+                visit(self, other);
+            }
+        }
     }
 
     /// Fetches a line into `core`'s cache (read miss path). Returns the
@@ -274,23 +367,14 @@ impl MemSystem {
     ) -> [u64; LINE_WORDS] {
         // Snoop: a Modified copy elsewhere is written back and demoted.
         let mut shared_elsewhere = false;
-        for other in 0..self.caches.len() {
-            if other == core {
-                continue;
+        self.for_each_other_holder(core, tag, |m, other| {
+            shared_elsewhere = true;
+            let slot = Self::slot(other, tag);
+            if m.lookup(slot, tag) == Some(LineState::Modified) {
+                m.write_back(slot);
             }
-            if let Some(line) = self.caches[other].lookup_mut(tag) {
-                shared_elsewhere = true;
-                if line.state == LineState::Modified {
-                    let data = line.data;
-                    line.state = LineState::Shared;
-                    self.stats.writebacks += 1;
-                    let base = self.word_index(tag);
-                    self.mem[base..base + LINE_WORDS].copy_from_slice(&data);
-                } else {
-                    line.state = LineState::Shared;
-                }
-            }
-        }
+            m.set_state(slot, LineState::Shared);
+        });
         let base = self.word_index(tag);
         let mut data = [0u64; LINE_WORDS];
         data.copy_from_slice(&self.mem[base..base + LINE_WORDS]);
@@ -299,71 +383,83 @@ impl MemSystem {
         } else {
             LineState::Exclusive
         };
-        self.insert_line(core, CacheLine { tag, state, data });
+        self.insert_line(core, tag, state, data);
         data
     }
 
-    /// Sends invalidations for `tag` to every core but `core`; the fault
-    /// hook may drop individual deliveries, leaving stale Shared copies.
+    /// Sends invalidations for `tag` to every other core holding it; the
+    /// fault hook may drop individual deliveries, leaving stale Shared
+    /// copies.
     fn invalidate_others<H: FaultHook + ?Sized>(&mut self, core: usize, tag: u64, hook: &mut H) {
-        for other in 0..self.caches.len() {
-            if other == core {
-                continue;
-            }
-            let present = self.caches[other].lookup(tag).is_some();
-            if !present {
-                continue;
-            }
+        self.for_each_other_holder(core, tag, |m, other| {
+            let slot = Self::slot(other, tag);
             // A Modified copy must be written back so the requester sees
             // its data (the bus transfer happens regardless of the defect).
-            if let Some(line) = self.caches[other].lookup_mut(tag) {
-                if line.state == LineState::Modified {
-                    let data = line.data;
-                    line.state = LineState::Shared;
-                    self.stats.writebacks += 1;
-                    let base = self.word_index(tag);
-                    self.mem[base..base + LINE_WORDS].copy_from_slice(&data);
-                }
+            if m.lookup(slot, tag) == Some(LineState::Modified) {
+                m.write_back(slot);
+                m.set_state(slot, LineState::Shared);
             }
             if hook.drop_invalidation(other, tag) {
                 // Defect: the invalidation is lost; the stale copy stays
-                // Shared and keeps serving reads.
-                self.stats.dropped_invalidations += 1;
+                // Shared, keeps its directory bit and keeps serving reads.
+                m.stats.dropped_invalidations += 1;
             } else {
-                self.stats.invalidations += 1;
-                let set = L1::set_of(tag);
-                self.caches[other].lines[set] = None;
+                m.stats.invalidations += 1;
+                m.drop_line(other, slot);
             }
-        }
+        });
     }
 
-    /// Inserts a line, writing back any evicted dirty line.
-    fn insert_line(&mut self, core: usize, line: CacheLine) {
-        let set = L1::set_of(line.tag);
-        if let Some(old) = self.caches[core].lines[set].take() {
-            if old.state == LineState::Modified {
-                self.stats.writebacks += 1;
-                let base = self.word_index(old.tag);
-                self.mem[base..base + LINE_WORDS].copy_from_slice(&old.data);
+    /// Inserts a line into `core`'s L1, writing back any evicted dirty
+    /// line.
+    fn insert_line(&mut self, core: usize, tag: u64, state: LineState, data: [u64; LINE_WORDS]) {
+        let slot = Self::slot(core, tag);
+        if self.slots[slot] != EMPTY {
+            if self.line(slot).tag & STATE_MASK == LineState::Modified as u64 {
+                self.write_back(slot);
             }
+            self.drop_line(core, slot);
         }
-        self.caches[core].lines[set] = Some(line);
+        let dir = self.dir_index(tag);
+        self.sharers[dir + core / 64] |= 1 << (core % 64);
+        let set = slot % L1_SETS;
+        self.resident[core * SET_WORDS + set / 64] |= 1 << (set % 64);
+        let line = Line {
+            tag: tag | state as u64,
+            data,
+        };
+        let entry = match self.free.pop() {
+            Some(entry) => {
+                self.lines[entry as usize] = line;
+                entry
+            }
+            None => {
+                self.lines.push(line);
+                (self.lines.len() - 1) as u32
+            }
+        };
+        self.slots[slot] = entry + 1;
     }
 
-    /// Writes back every dirty line (run at machine halt so that raw
-    /// memory inspection sees the final state).
+    /// Writes back every dirty line and empties every cache (run at
+    /// machine halt so that raw memory inspection sees the final state).
+    /// Visits the resident lines core by core, each core's in set order.
     pub fn flush_all(&mut self) {
-        for core in 0..self.caches.len() {
-            for set in 0..L1_SETS {
-                if let Some(line) = self.caches[core].lines[set].take() {
-                    if line.state == LineState::Modified {
-                        self.stats.writebacks += 1;
-                        let base = (line.tag / 8) as usize;
-                        self.mem[base..base + LINE_WORDS].copy_from_slice(&line.data);
+        for core in 0..self.cores {
+            for w in 0..SET_WORDS {
+                let mut sets = self.resident[core * SET_WORDS + w];
+                while sets != 0 {
+                    let slot = core * L1_SETS + w * 64 + sets.trailing_zeros() as usize;
+                    sets &= sets - 1;
+                    if self.line(slot).tag & STATE_MASK == LineState::Modified as u64 {
+                        self.write_back(slot);
                     }
+                    self.drop_line(core, slot);
                 }
             }
         }
+        self.lines.clear();
+        self.free.clear();
     }
 
     /// Raw (non-coherent) word read, for initialization and final

@@ -1,4 +1,4 @@
-//! Output identity for Tables 1–2 and the quick conformance gate:
+//! Output identity for Tables 1–4 and the quick conformance gate:
 //! `repro`'s stdout for each run below must hash to the recorded FNV-1a
 //! digest. Refactors must not move a byte; a failure names every run
 //! whose output moved.
@@ -7,7 +7,10 @@
 //! screening shared one walk per suite and evaluated the trigger curve
 //! once per testcase. The `conform --quick` digest was recorded once its
 //! `checkpoint_transparency` line printed a fixed item count: a work item
-//! that finishes after the simulated kill records nothing.
+//! that finishes after the simulated kill records nothing. The quick
+//! Tables 3–4 digests were recorded on the commit before the softcore's
+//! coherence moved from a snooping bus to a sharer directory; they run
+//! in release builds only, which keeps the debug test run short.
 //!
 //! After a deliberate output change, re-record a digest by running the
 //! listed command and hashing its stdout with [`fnv1a`].
@@ -53,6 +56,28 @@ const CONFORM_RUNS: [Run; 2] = [
     (
         &["conform", "--quick", "--threads", "2"],
         0x6b50_e504_013a_7cde,
+    ),
+];
+
+/// The quick deep study (Table 3) and Farron eval (Table 4), the runs
+/// that profile testcases in the softcore VM.
+#[cfg(not(debug_assertions))]
+const STUDY_EVAL_RUNS: [Run; 4] = [
+    (
+        &["table3", "--quick", "--threads", "1"],
+        0x5a59_1028_e733_fffc,
+    ),
+    (
+        &["table3", "--quick", "--threads", "2"],
+        0x5a59_1028_e733_fffc,
+    ),
+    (
+        &["table4", "--quick", "--threads", "1"],
+        0x5baa_c006_086e_5a33,
+    ),
+    (
+        &["table4", "--quick", "--threads", "2"],
+        0x5baa_c006_086e_5a33,
     ),
 ];
 
@@ -105,4 +130,10 @@ fn tables_1_and_2_print_the_recorded_bytes() {
 #[test]
 fn conform_quick_prints_the_recorded_bytes() {
     assert_recorded(&CONFORM_RUNS);
+}
+
+#[cfg(not(debug_assertions))]
+#[test]
+fn tables_3_and_4_quick_print_the_recorded_bytes() {
+    assert_recorded(&STUDY_EVAL_RUNS);
 }
